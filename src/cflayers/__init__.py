@@ -57,7 +57,6 @@ from .region import (
     compression_floor,
     floor_sum,
     h_term,
-    largest_violator,
     layered_rhs,
     load_rates,
     mi_gap,

@@ -25,12 +25,13 @@ EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(write, out_path: str | None) -> None:
+    """Call `write(fh)` on the output file, or on stdout when no path is given."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _print_json(obj) -> None:
@@ -142,7 +143,7 @@ def cmd_export(args) -> int:
     spec = load_spec(args.channel)
     joint = build_joint(spec)
     atlas = geometry.export_atlas(joint, with_vertices=args.vertices)
-    _emit(atlas.dumps(), args.out)
+    _emit(atlas.dump, args.out)
     return EXIT_OK
 
 
@@ -151,7 +152,7 @@ def cmd_demo(args) -> int:
     issues = validate_spec(spec)
     if issues:  # generator bug; never expected
         raise CFLayersError("generated spec failed validation: " + str(issues[0]))
-    _emit(spec.dumps(), args.out)
+    _emit(lambda fh: fh.write(spec.dumps()), args.out)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ one channel; exporting the same channel twice yields byte-identical JSON.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -146,8 +147,15 @@ class Atlas:
             "layerings": layerings,
         }
 
+    def dump(self, fh) -> None:
+        """Write the JSON text to `fh` as it is encoded, without one big string."""
+        json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        self.dump(buf)
+        return buf.getvalue()
 
 
 def channel_digest(joint: JointPmf) -> str:

@@ -134,8 +134,10 @@ def spec_from_json_obj(obj: dict) -> ChannelSpec:
     try:
         d = int(obj["d"])
         source = obj["source"]
+        source_alphabet = int(source["alphabet"])
+        p_x1_raw = source["p_x1"]
         relays_raw = obj["relays"]
-        dest = obj["destination"]
+        dest_alphabet = int(obj["destination"]["y_alphabet"])
         channel_raw = obj["channel"]
     except (KeyError, TypeError) as exc:
         raise InvalidSpecError(f"channel spec is missing field {exc}") from exc
@@ -161,10 +163,10 @@ def spec_from_json_obj(obj: dict) -> ChannelSpec:
 
     return ChannelSpec(
         d=d,
-        source_alphabet=int(source["alphabet"]),
-        p_x1=_as_table(source["p_x1"], "p_x1"),
+        source_alphabet=source_alphabet,
+        p_x1=_as_table(p_x1_raw, "p_x1"),
         relays=tuple(relays),
-        dest_alphabet=int(dest["y_alphabet"]),
+        dest_alphabet=dest_alphabet,
         channel=_as_table(channel_raw, "channel"),
     )
 
@@ -193,13 +195,13 @@ def _check_distribution(arr: np.ndarray, name: str, length: int, issues: list) -
         return
     _check_range(arr, name, issues)
     total = float(arr.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         issues.append(ValidationIssue("normalization", name, f"sums to {total!r}, not 1"))
 
 
 def _check_range(arr: np.ndarray, name: str, issues: list) -> None:
-    if np.any(arr < -NORMALIZATION_TOL) or np.any(arr > 1.0 + NORMALIZATION_TOL):
-        issues.append(ValidationIssue("range", name, "entries outside [0, 1]"))
+    if not np.all((arr >= -NORMALIZATION_TOL) & (arr <= 1.0 + NORMALIZATION_TOL)):
+        issues.append(ValidationIssue("range", name, "entries outside [0, 1] or NaN"))
 
 
 def _check_conditional(arr: np.ndarray, name: str, shape: tuple, n_cond: int, issues: list) -> None:
@@ -258,8 +260,9 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
 class JointPmf:
     """Dense joint pmf over (X1, {Xi, Yi, Yhi} per relay, Yd).  Immutable.
 
-    Axes follow that canonical order with the last index fastest.  Entropy
-    queries marginalize the table and are memoized by variable-set mask;
+    Axes follow that canonical order with the last index fastest; one
+    (kind, node) -> axis map is the only layout lookup.  Entropy queries
+    marginalize the table and are memoized by the bitmask of kept axes;
     concurrent reads are safe (worst case a value is computed twice).
     """
 
@@ -270,13 +273,13 @@ class JointPmf:
         if np.any(table < -NORMALIZATION_TOL):
             raise InvalidSpecError("joint table has negative entries")
         mass = float(table.sum())
-        if abs(mass - 1.0) > NORMALIZATION_TOL:
+        if not abs(mass - 1.0) <= NORMALIZATION_TOL:  # NaN mass fails too
             raise InvalidSpecError(f"joint table mass is {mass!r}, not 1")
         table = table.copy()
         table.setflags(write=False)
         self._table = table
         self._variables = tuple(variables)
-        self._axis = {v: i for i, v in enumerate(self._variables)}
+        self._axis = {(v.kind, v.node): i for i, v in enumerate(self._variables)}
         self._relays = tuple(
             v.node for v in self._variables if v.kind == "x" and v.node != 1
         )
@@ -304,10 +307,10 @@ class JointPmf:
         return self._relays[-1] + 1 if self._relays else 3
 
     def _var(self, kind: str, node: int) -> Variable:
-        for v in self._variables:
-            if v.kind == kind and v.node == node:
-                return v
-        raise UnknownVariableError(f"no variable {kind}{node} in this joint")
+        axis = self._axis.get((kind, node))
+        if axis is None:
+            raise UnknownVariableError(f"no variable {kind}{node} in this joint")
+        return self._variables[axis]
 
     @property
     def x1(self) -> Variable:
@@ -339,29 +342,52 @@ class JointPmf:
     def _mask(self, variables) -> int:
         mask = 0
         for v in variables:
-            axis = self._axis.get(v)
-            if axis is None:
+            axis = self._axis.get((v.kind, v.node))
+            if axis is None or self._variables[axis].size != v.size:
                 raise UnknownVariableError(f"{v!r} does not belong to this joint")
             mask |= 1 << axis
         return mask
 
+    def _sum_to(self, mask: int) -> np.ndarray:
+        drop = tuple(i for i in range(self._table.ndim) if not (mask >> i) & 1)
+        return self._table.sum(axis=drop)
+
+    def _entropy(self, mask: int, variables=None) -> float:
+        # generic queries sum through the public `marginal`; relay queries do not
+        cached = self._cache.get(mask)
+        if cached is None:
+            marg = (self._sum_to(mask) if variables is None else self.marginal(variables)).ravel()
+            probs = marg[marg > ZERO_MASS]
+            cached = self._cache[mask] = float(max(-np.sum(probs * np.log2(probs)), 0.0))
+        return cached
+
     def marginal(self, variables) -> np.ndarray:
         """Marginal table over `variables`, axes in canonical order."""
-        mask = self._mask(variables)
-        drop = tuple(i for i in range(len(self._variables)) if not (mask >> i) & 1)
-        return self._table.sum(axis=drop)
+        return self._sum_to(self._mask(variables))
 
     def entropy(self, variables) -> float:
         """Joint Shannon entropy H(variables) in bits; H(empty) = 0."""
-        mask = self._mask(variables)
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        marg = self.marginal(variables).ravel()
-        probs = marg[marg > ZERO_MASS]
-        value = float(max(-np.sum(probs * np.log2(probs)), 0.0))
-        self._cache[mask] = value
-        return value
+        return self._entropy(self._mask(variables), variables)
+
+    def relay_entropy(self, a, b) -> float:
+        """H(X_a, Yh_b, Yd) in bits for relay node sets `a` and `b`.
+
+        Every rate cap is a difference of these terms.  Shares the memo of
+        `entropy`, keyed by the same axis mask.
+        """
+        axis = self._axis
+        try:
+            if 1 in a:  # X1 has an axis but is no relay input
+                raise KeyError(("x", 1))
+            mask = 1 << axis["y", self.d]
+            for i in a:
+                mask |= 1 << axis["x", i]
+            for i in b:
+                mask |= 1 << axis["yhat", i]
+        except KeyError as exc:
+            raise UnknownVariableError("no relay variable {}{} in this joint".format(
+                *exc.args[0])) from None
+        return self._entropy(mask)
 
     def cond_entropy(self, a, b) -> float:
         """H(a | b) = H(a u b) - H(b), in bits."""
@@ -412,37 +438,15 @@ def build_joint(spec: ChannelSpec, max_cells: int = MAX_TABLE_CELLS) -> JointPmf
             f"joint table needs {cells} cells, above the cap of {max_cells}"
         )
 
-    # One einsum over all factors; subscript letters assigned per variable.
-    letters = {}
-
-    def letter(kind, node):
-        if (kind, node) not in letters:
-            letters[(kind, node)] = chr(ord("a") + len(letters))
-        return letters[(kind, node)]
-
-    operands = []
-    subs = []
-    subs.append(letter("x", 1))
-    operands.append(spec.p_x1)
-    for r in spec.relays:
-        subs.append(letter("x", r.node))
-        operands.append(r.p_x)
-    chan_sub = letter("x", 1)
-    for r in spec.relays:
-        chan_sub += letter("x", r.node)
-    for r in spec.relays:
-        chan_sub += letter("y", r.node)
-    chan_sub += letter("y", spec.d)
-    subs.append(chan_sub)
-    operands.append(spec.channel)
-    for r in spec.relays:
-        subs.append(letter("x", r.node) + letter("y", r.node) + letter("yhat", r.node))
-        operands.append(r.p_yhat)
-
-    out = letter("x", 1)
-    for r in spec.relays:
-        out += letter("x", r.node) + letter("y", r.node) + letter("yhat", r.node)
-    out += letter("y", spec.d)
-
-    table = np.einsum(",".join(subs) + "->" + out, *operands)
+    # One einsum over all factors, each axis labelled by its canonical position:
+    # X1 is 0, relay j owns Xi, Yi, Yhi at 3j+1..3j+3, and Yd is last.
+    x_ax = [3 * j + 1 for j in range(len(spec.relays))]
+    y_ax = [a + 1 for a in x_ax] + [len(variables) - 1]
+    args = [spec.p_x1, [0]]
+    for r, a in zip(spec.relays, x_ax):
+        args += [r.p_x, [a]]
+    args += [spec.channel, [0] + x_ax + y_ax]
+    for r, a in zip(spec.relays, x_ax):
+        args += [r.p_yhat, [a, a + 1, a + 2]]
+    table = np.einsum(*args, list(range(len(variables))))
     return JointPmf(tuple(variables), table)

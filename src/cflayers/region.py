@@ -19,10 +19,11 @@ window for subset S is [sum of floors, boundary rhs).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import EmptySubsetError, InvalidRatesError, InvalidSubsetError
-from .layering import Layering, active, cumulative_complement, validate_layering
+from .layering import Layering, active, prefix_union, validate_layering
 from .probability import JointPmf
 
 DEFAULT_EPSILON = 1e-9
@@ -37,7 +38,7 @@ def fmt12(x: float) -> float:
 
 
 class RateVector:
-    """Per-relay compression rates in bits, nonnegative."""
+    """Per-relay compression rates in bits, finite and nonnegative."""
 
     def __init__(self, rates):
         self._rates = {int(k): float(v) for k, v in dict(rates).items()}
@@ -58,9 +59,9 @@ class RateVector:
             raise InvalidRatesError(
                 f"rates cover nodes {sorted(self.nodes)} but the relays are {sorted(relays)}"
             )
-        negative = [i for i, r in self._rates.items() if r < 0.0]
-        if negative:
-            raise InvalidRatesError(f"negative rates for nodes {sorted(negative)}")
+        bad = [i for i, r in self._rates.items() if not 0.0 <= r < math.inf]
+        if bad:
+            raise InvalidRatesError(f"negative or non-finite rates for nodes {sorted(bad)}")
 
     def to_json_obj(self) -> dict:
         return {"rates": {str(i): self._rates[i] for i in sorted(self._rates)}}
@@ -79,11 +80,6 @@ def load_rates(path) -> RateVector:
 # -- subset bookkeeping --------------------------------------------------------
 
 
-def subset_mask(subset, relays) -> int:
-    nodes = sorted(relays)
-    return sum(1 << nodes.index(i) for i in subset)
-
-
 def subsets_by_mask(relays):
     """All nonempty relay subsets, ordered by bitmask (bit j = j-th smallest relay)."""
     nodes = sorted(relays)
@@ -96,11 +92,9 @@ def subsets_by_mask(relays):
 
 def block_cond_entropy(joint: JointPmf, s, given) -> float:
     """H(X_s Yh_s | X_given Yh_given Yd)."""
-    s = frozenset(s)
     given = frozenset(given)
-    front = joint.xs(s) | joint.yhats(s)
-    back = joint.xs(given) | joint.yhats(given) | {joint.yd}
-    return joint.cond_entropy(front, back)
+    both = given | frozenset(s)
+    return joint.relay_entropy(both, both) - joint.relay_entropy(given, given)
 
 
 def h_term(joint: JointPmf, layering: Layering, s, l: int) -> float:
@@ -109,15 +103,14 @@ def h_term(joint: JointPmf, layering: Layering, s, l: int) -> float:
     Pairs the subset's inputs active in layer l with its compressions active
     in layer l-1, conditioned on all other decoded inputs/compressions and Yd.
     Valid for l in 0..depth (the stage past the last layer conditions on every
-    relay input).
+    relay input).  The pair and its condition together are exactly the
+    prefixes up to layers l and l-1.
     """
-    front = joint.xs(active(layering, s, l)) | joint.yhats(active(layering, s, l - 1))
-    back = (
-        joint.xs(cumulative_complement(layering, s, l))
-        | joint.yhats(cumulative_complement(layering, s, l - 1))
-        | {joint.yd}
+    now, before = active(layering, s, l), active(layering, s, l - 1)
+    upto_now, upto_before = prefix_union(layering, l), prefix_union(layering, l - 1)
+    return joint.relay_entropy(upto_now, upto_before) - joint.relay_entropy(
+        upto_now - now, upto_before - before
     )
-    return joint.cond_entropy(front, back)
 
 
 def layered_rhs(joint: JointPmf, layering: Layering, s) -> float:
@@ -203,16 +196,16 @@ class ConstraintReport:
 
 def _build_report(kind, joint, rates, rhs_of, epsilon) -> ConstraintReport:
     rates.check_for(joint.relay_set)
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     entries = []
-    for s in subsets_by_mask(joint.relay_set):
+    for mask, s in enumerate(subsets_by_mask(joint.relay_set), 1):
         rhs = rhs_of(s)
         rate_sum = rates.subset_sum(s)
         entries.append(
             SubsetConstraint(
                 subset=s,
-                mask=subset_mask(s, joint.relay_set),
+                mask=mask,
                 rhs=rhs,
                 rate_sum=rate_sum,
                 satisfied=(rhs - rate_sum) > epsilon,
@@ -264,14 +257,6 @@ def pick_violator(report: ConstraintReport):
         return union, False
     best = max(violators, key=lambda s: (len(s), -report.entry(s).mask))
     return best, True
-
-
-def largest_violator(
-    joint: JointPmf, layering: Layering, rates: RateVector, epsilon: float = DEFAULT_EPSILON
-):
-    """Union of the subsets violating the layered constraints, or None for a member."""
-    subset, _ = pick_violator(check_layered(joint, layering, rates, epsilon))
-    return subset
 
 
 # -- floors, source rate, and the window identities -------------------------------

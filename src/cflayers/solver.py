@@ -38,7 +38,6 @@ class SolveStep:
     """One iteration: the layering tried, its report, and the chosen move."""
 
     index: int
-    raw_layers: Layering  # as produced by the previous shift, pre-canonicalization
     layering: Layering  # canonical form actually evaluated
     report: ConstraintReport
     chosen: frozenset[int] | None  # subset shifted next; None on the terminal step
@@ -112,10 +111,9 @@ def solve(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    raw = initial if initial is not None else Layering((relays,))
-    require_valid_layering(joint, raw)
-
-    current = canonicalize(raw)
+    start = initial if initial is not None else Layering((relays,))
+    require_valid_layering(joint, start)
+    current = canonicalize(start)
     core: frozenset[int] = frozenset()
     steps: list[SolveStep] = []
     for n in range(max_iter + 1):
@@ -124,7 +122,6 @@ def solve(
         steps.append(
             SolveStep(
                 index=n,
-                raw_layers=raw,
                 layering=current,
                 report=report,
                 chosen=chosen,
@@ -145,8 +142,7 @@ def solve(
         if n == max_iter:
             break
         core = (relays - chosen) | core
-        raw = shift(current, chosen)
-        current = canonicalize(raw)
+        current = canonicalize(shift(current, chosen))
 
     trace = SolveTrace(steps=steps, status="not_converged")
     raise NotConvergedError(

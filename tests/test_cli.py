@@ -110,6 +110,49 @@ class TestCheck:
         capsys.readouterr()
 
 
+class TestBadNumbers:
+    """Non-finite numbers and missing alphabets are input errors, never a verdict."""
+
+    def spec_file(self, tmp_path, edit):
+        obj = cf.demo_spec(2, 7).to_json_obj()
+        edit(obj)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_nan_in_spec_table(self, tmp_path, capsys, command):
+        def poison(obj):
+            obj["channel"][0][0][0][0][0][0] = float("nan")
+
+        chan = self.spec_file(tmp_path, poison)
+        rates = write_rates(tmp_path, {2: 0.0, 3: 0.0})
+        assert main([command, "--channel", chan, "--rates", rates]) == 2
+        assert "[range] channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part, field", [("source", "alphabet"), ("destination", "y_alphabet")])
+    def test_missing_alphabet(self, tmp_path, capsys, part, field):
+        chan = self.spec_file(tmp_path, lambda o: o[part].pop(field))
+        assert main(["floors", "--channel", chan]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rates(self, demo2_file, tmp_path, capsys, command, bad):
+        rates = write_rates(tmp_path, {2: bad, 3: 0.0})
+        assert main([command, "--channel", demo2_file, "--rates", rates]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_nan_epsilon(self, demo2_file, tmp_path, capsys, command):
+        rates = write_rates(tmp_path, {2: 0.0, 3: 0.0})
+        code = main([command, "--channel", demo2_file, "--rates", rates, "--epsilon", "nan"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon" in captured.err
+
+
 class TestSolve:
     def test_interior_point_achieves(self, demo3_file, tmp_path, capsys):
         rates = write_rates(tmp_path, TWO_SHIFT_RATES)
@@ -147,11 +190,13 @@ class TestExport:
         obj = json.loads(first)
         assert len(obj["layerings"]) == 3
 
-    def test_out_file(self, demo2_file, tmp_path):
+    def test_out_file(self, demo2_file, tmp_path, capsys):
         out = tmp_path / "atlas.json"
         assert main(["export", "--channel", demo2_file, "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
         assert obj["dimension"] == 2
+        assert main(["export", "--channel", demo2_file]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_vertices_beyond_three_relays(self, tmp_path, capsys):
         path = tmp_path / "demo4.json"

@@ -87,6 +87,23 @@ class TestValidateSpec:
         assert issues[0].kind == "shape"
         assert issues[0].table == "channel"
 
+    @pytest.mark.parametrize("table", ["p_x1", "p_x2", "channel"])
+    def test_nan_entry_rejected(self, table):
+        spec = cf.demo_spec(2, 7)
+        p_x1, p_x2, channel = spec.p_x1.copy(), spec.relays[0].p_x.copy(), spec.channel.copy()
+        {"p_x1": p_x1, "p_x2": p_x2, "channel": channel}[table].flat[0] = np.nan
+        relays = (cf.RelaySpec(2, 2, 2, 2, p_x2, spec.relays[0].p_yhat), spec.relays[1])
+        spec = cf.ChannelSpec(spec.d, 2, p_x1, relays, 2, channel)
+        assert {i.table for i in cf.validate_spec(spec) if i.kind == "range"} == {table}
+        with pytest.raises(cf.InvalidSpecError):
+            cf.build_joint(spec)
+
+    def test_joint_with_nan_mass_rejected(self, demo2):
+        table = demo2.table.copy()
+        table.flat[0] = np.nan
+        with pytest.raises(cf.InvalidSpecError, match="mass"):
+            cf.JointPmf(demo2.variables, table)
+
     def test_build_rejects_invalid(self):
         spec = cf.demo_spec(1, 11)
         spec = cf.ChannelSpec(
@@ -114,11 +131,13 @@ class TestBuildJoint:
         assert abs(sum(pmf.values()) - 1.0) < 1e-12
 
     def test_matches_brute_force_cellwise(self):
-        spec = cf.demo_spec(2, 7)
-        joint = cf.build_joint(spec)
-        pmf = brute_force_joint(spec)
-        for key, p in pmf.items():
-            assert joint.table[key] == pytest.approx(p, abs=1e-13)
+        mixed = random_spec(np.random.default_rng(47), n_relays=2)
+        assert len(set(mixed.channel.shape)) > 1  # alphabets really differ
+        for spec in (cf.demo_spec(2, 7), mixed):
+            joint = cf.build_joint(spec)
+            pmf = brute_force_joint(spec)
+            for key, p in pmf.items():
+                assert joint.table[key] == pytest.approx(p, abs=1e-13)
 
     def test_table_cap(self):
         with pytest.raises(cf.TableTooLargeError):
@@ -151,6 +170,36 @@ class TestEntropy:
             demo2.entropy({demo3.x(4)})  # node 4 is not part of the 2-relay net
         with pytest.raises(cf.UnknownVariableError):
             demo2.entropy({cf.Variable("x", 2, 5)})  # wrong alphabet size
+
+
+class TestRelayEntropy:
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(48)
+        for n_relays in (2, 2, 3):
+            spec = random_spec(rng, n_relays=n_relays)
+            joint = cf.build_joint(spec)
+            pmf = brute_force_joint(spec)
+            labels = variable_labels(spec)
+            for _ in range(8):
+                a = random_subset(rng, joint.relays)
+                b = random_subset(rng, joint.relays)
+                wanted = [f"X{i}" for i in sorted(a)] + [f"Yh{i}" for i in sorted(b)]
+                want = entropy(pmf, labels, wanted + [f"Y{spec.d}"])
+                assert joint.relay_entropy(a, b) == pytest.approx(want, abs=1e-9)
+
+    def test_same_value_as_generic_query(self, demo3):
+        a, b = frozenset({2, 4}), frozenset({3})
+        generic = demo3.entropy(demo3.xs(a) | demo3.yhats(b) | {demo3.yd})
+        assert demo3.relay_entropy(a, b) == generic
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [({1}, ()), ((), {1}), ({4}, ()), ((), {4}), ({2, 9}, ())],
+        ids=["x1", "yhat1", "x_dest", "yhat_dest", "x_foreign"],
+    )
+    def test_non_relay_node(self, demo2, a, b):
+        with pytest.raises(cf.UnknownVariableError):
+            demo2.relay_entropy(frozenset(a), frozenset(b))
 
 
 class TestCondEntropy:
@@ -298,4 +347,11 @@ class TestJson:
         obj = json.loads(cf.demo_spec(1, 11).dumps())
         del obj["source"]
         with pytest.raises(cf.InvalidSpecError):
+            cf.spec_from_json_obj(obj)
+
+    @pytest.mark.parametrize("part, field", [("source", "alphabet"), ("destination", "y_alphabet")])
+    def test_missing_alphabet_rejected(self, part, field):
+        obj = json.loads(cf.demo_spec(1, 11).dumps())
+        del obj[part][field]
+        with pytest.raises(cf.InvalidSpecError, match=field):
             cf.spec_from_json_obj(obj)

@@ -53,6 +53,18 @@ class TestRateVector:
         with pytest.raises(cf.InvalidRatesError):
             cf.check_outer(demo2, cf.RateVector({2: 0.0}))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, demo2, bad):
+        with pytest.raises(cf.InvalidRatesError):
+            cf.check_outer(demo2, cf.RateVector({2: bad, 3: 0.0}))
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-9])
+    def test_bad_epsilon_rejected(self, demo2, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            cf.check_outer(demo2, zero_rates(demo2), epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            cf.check_layered(demo2, parse_layering("2|3"), zero_rates(demo2), epsilon)
+
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "rates.json"
         path.write_text('{"rates": {"2": 0.125, "3": 0.25}}')
@@ -229,7 +241,8 @@ class TestMembership:
 
 class TestLargestViolator:
     def test_member_gives_none(self, demo2):
-        assert cf.largest_violator(demo2, parse_layering("2|3"), zero_rates(demo2)) is None
+        report = cf.check_layered(demo2, parse_layering("2|3"), zero_rates(demo2))
+        assert cf.region.pick_violator(report) == (None, False)
 
     def test_single_violating_subset(self, demo2):
         lay = parse_layering("2|3")
@@ -277,8 +290,8 @@ class TestLargestViolator:
         report = cf.check_layered(demo2, lay, rates)
         assert frozenset({2}) in report.violators
         assert frozenset({3}) in report.violators
-        u = cf.largest_violator(demo2, lay, rates)
-        assert u == {2, 3}
+        u, degenerate = cf.region.pick_violator(report)
+        assert u == {2, 3} and not degenerate
         assert not report.entry(u).satisfied
 
 

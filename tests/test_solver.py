@@ -49,6 +49,14 @@ class TestSolveBasics:
         with pytest.raises(cf.InvalidRatesError):
             cf.solve(demo2, cf.RateVector({2: -0.01, 3: 0.0}))
 
+    def test_nan_rates_rejected_before_any_shift(self, demo2):
+        with pytest.raises(cf.InvalidRatesError):
+            cf.solve(demo2, cf.RateVector({2: float("nan"), 3: 0.0}))
+
+    def test_nan_epsilon_rejected(self, demo2):
+        with pytest.raises(ValueError, match="epsilon"):
+            cf.solve(demo2, zero_rates(demo2), epsilon=float("nan"))
+
     def test_invalid_initial_layering(self, demo2):
         with pytest.raises(ValueError):
             cf.solve(demo2, zero_rates(demo2), initial=make_layering([{2}]))
