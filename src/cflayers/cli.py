@@ -15,7 +15,7 @@ import sys
 from . import geometry, region, solver
 from .demo import demo_spec
 from .errors import CFLayersError, NotConvergedError
-from .layering import enumerate_layerings, parse_layering, validate_layering
+from .layering import enumerate_layerings, parse_layering
 from .probability import build_joint, load_spec, validate_spec
 from .region import DEFAULT_EPSILON, fmt12, load_rates
 
@@ -58,11 +58,8 @@ def _show_report(report: region.ConstraintReport, fmt: str) -> None:
         print("\n".join(_report_lines(report)))
 
 
-def _load_inputs(args, need_rates: bool):
-    spec = load_spec(args.channel)
-    joint = build_joint(spec)
-    rates = load_rates(args.rates) if need_rates else None
-    return joint, rates
+def _load_joint(args):
+    return build_joint(load_spec(args.channel))
 
 
 def cmd_layerings(args) -> int:
@@ -79,12 +76,10 @@ def cmd_layerings(args) -> int:
 
 
 def cmd_check(args) -> int:
-    joint, rates = _load_inputs(args, need_rates=True)
+    joint = _load_joint(args)
+    rates = load_rates(args.rates)
     if args.layering is not None:
         layering = parse_layering(args.layering)
-        problems = validate_layering(layering, joint.relay_set)
-        if problems:
-            raise CFLayersError("invalid layering: " + "; ".join(problems))
         report = region.check_layered(joint, layering, rates, args.epsilon)
     else:
         report = region.check_outer(joint, rates, args.epsilon)
@@ -93,7 +88,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    joint, rates = _load_inputs(args, need_rates=True)
+    joint = _load_joint(args)
+    rates = load_rates(args.rates)
     outer = region.check_outer(joint, rates, args.epsilon)
     if not outer.is_member:
         if args.format == "json":
@@ -140,9 +136,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    spec = load_spec(args.channel)
-    joint = build_joint(spec)
-    atlas = geometry.export_atlas(joint, with_vertices=args.vertices)
+    atlas = geometry.export_atlas(_load_joint(args), with_vertices=args.vertices)
     _emit(atlas.dump, args.out)
     return EXIT_OK
 
@@ -157,8 +151,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_floors(args) -> int:
-    spec = load_spec(args.channel)
-    joint = build_joint(spec)
+    joint = _load_joint(args)
     floors = region.compression_floor(joint)
     entries = []
     consistent = True

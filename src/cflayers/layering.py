@@ -194,10 +194,7 @@ def shift(layering: Layering, u) -> Layering:
     strip it) and interior empty layers can appear.  The depth grows by one
     exactly when `u` touches the last layer, and never shrinks.
     """
-    u = frozenset(u)
-    foreign = u - layering.relays
-    if foreign:
-        raise InvalidSubsetError(f"nodes {sorted(foreign)} are not relays of this layering")
+    u = _check_subset(layering, u)
     new_depth = layering.depth + (1 if (layering.layers[-1] & u) else 0)
     new_layers = [set() for _ in range(new_depth)]
     for l, layer in enumerate(layering.layers):

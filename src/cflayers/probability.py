@@ -118,11 +118,22 @@ class ChannelSpec:
 def _as_table(raw, name: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidSpecError(f"table {name} is not rectangular: {exc}") from exc
     if arr.dtype == object:
         raise InvalidSpecError(f"table {name} is not rectangular")
     return arr
+
+
+def _as_int(raw, name: str) -> int:
+    """An integral JSON number; 2.0 is fine, 2.5 and "2" are not."""
+    try:
+        value = int(raw)
+    except (ValueError, TypeError, OverflowError):
+        value = None
+    if value is None or value != raw:
+        raise InvalidSpecError(f"{name} must be an integer, got {raw!r}")
+    return value
 
 
 def spec_from_json_obj(obj: dict) -> ChannelSpec:
@@ -132,25 +143,27 @@ def spec_from_json_obj(obj: dict) -> ChannelSpec:
     normalization and shape checks are deferred to `validate_spec`.
     """
     try:
-        d = int(obj["d"])
+        d = _as_int(obj["d"], "d")
         source = obj["source"]
-        source_alphabet = int(source["alphabet"])
+        source_alphabet = _as_int(source["alphabet"], "source.alphabet")
         p_x1_raw = source["p_x1"]
         relays_raw = obj["relays"]
-        dest_alphabet = int(obj["destination"]["y_alphabet"])
+        dest_alphabet = _as_int(obj["destination"]["y_alphabet"], "destination.y_alphabet")
         channel_raw = obj["channel"]
     except (KeyError, TypeError) as exc:
-        raise InvalidSpecError(f"channel spec is missing field {exc}") from exc
+        raise InvalidSpecError(f"channel spec has a missing or malformed field: {exc}") from exc
+    if not isinstance(relays_raw, list):
+        raise InvalidSpecError(f"relays must be a list, got {type(relays_raw).__name__}")
 
     relays = []
     for entry in relays_raw:
         try:
             relays.append(
                 RelaySpec(
-                    node=int(entry["node"]),
-                    x_alphabet=int(entry["x_alphabet"]),
-                    y_alphabet=int(entry["y_alphabet"]),
-                    yhat_alphabet=int(entry["yhat_alphabet"]),
+                    node=_as_int(entry["node"], "relay node"),
+                    x_alphabet=_as_int(entry["x_alphabet"], "x_alphabet"),
+                    y_alphabet=_as_int(entry["y_alphabet"], "y_alphabet"),
+                    yhat_alphabet=_as_int(entry["yhat_alphabet"], "yhat_alphabet"),
                     p_x=_as_table(entry["p_x"], f"p_x{entry.get('node', '?')}"),
                     p_yhat=_as_table(
                         entry["p_yhat_given_x_y"],
@@ -159,7 +172,7 @@ def spec_from_json_obj(obj: dict) -> ChannelSpec:
                 )
             )
         except (KeyError, TypeError) as exc:
-            raise InvalidSpecError(f"relay entry is missing field {exc}") from exc
+            raise InvalidSpecError(f"relay entry has a missing or malformed field: {exc}") from exc
 
     return ChannelSpec(
         d=d,

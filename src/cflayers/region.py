@@ -41,7 +41,10 @@ class RateVector:
     """Per-relay compression rates in bits, finite and nonnegative."""
 
     def __init__(self, rates):
-        self._rates = {int(k): float(v) for k, v in dict(rates).items()}
+        try:
+            self._rates = {int(k): float(v) for k, v in dict(rates).items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidRatesError(f"rates must map relay nodes to numbers: {exc}") from exc
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -74,6 +77,8 @@ class RateVector:
 def load_rates(path) -> RateVector:
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict) or "rates" not in obj:
+        raise InvalidRatesError('a rate file is a JSON object with a "rates" field')
     return RateVector(obj["rates"])
 
 
@@ -97,6 +102,13 @@ def block_cond_entropy(joint: JointPmf, s, given) -> float:
     return joint.relay_entropy(both, both) - joint.relay_entropy(given, given)
 
 
+def _stage(joint: JointPmf, upto_now, upto_before, now, before) -> float:
+    """H(X_now Yh_before | X_{upto_now - now} Yh_{upto_before - before} Yd)."""
+    return joint.relay_entropy(upto_now, upto_before) - joint.relay_entropy(
+        upto_now - now, upto_before - before
+    )
+
+
 def h_term(joint: JointPmf, layering: Layering, s, l: int) -> float:
     """Stage-l conditional entropy of layering `layering` for subset `s`.
 
@@ -107,20 +119,22 @@ def h_term(joint: JointPmf, layering: Layering, s, l: int) -> float:
     prefixes up to layers l and l-1.
     """
     now, before = active(layering, s, l), active(layering, s, l - 1)
-    upto_now, upto_before = prefix_union(layering, l), prefix_union(layering, l - 1)
-    return joint.relay_entropy(upto_now, upto_before) - joint.relay_entropy(
-        upto_now - now, upto_before - before
-    )
+    return _stage(joint, prefix_union(layering, l), prefix_union(layering, l - 1), now, before)
 
 
 def layered_rhs(joint: JointPmf, layering: Layering, s) -> float:
-    """Rate cap for subset `s` under the staged decode of `layering`."""
+    """Rate cap for subset `s` under the staged decode of `layering`: the pair
+    sum minus h_term(l) for l = 0..depth, in that order, in one walk down the layers."""
     s = frozenset(s)
     if not s:
         raise EmptySubsetError("layered rate cap is defined for nonempty subsets")
+    before = active(layering, s, -1)  # empty; rejects nodes outside the layering
     total = joint.pair_entropy_sum(s)
-    for l in range(layering.depth + 1):
-        total -= h_term(joint, layering, s, l)
+    upto: frozenset[int] = frozenset()
+    for layer in layering.layers + (frozenset(),):
+        upto_now, now = upto | layer, s & layer
+        total -= _stage(joint, upto_now, upto, now, before)
+        upto, before = upto_now, now
     return total
 
 
@@ -247,16 +261,13 @@ def pick_violator(report: ConstraintReport):
     violator with the smallest bitmask and flag the pick as degenerate.
     Returns (None, False) for a member.
     """
-    violators = report.violators
-    if not violators:
+    violating = [e for e in report.entries if not e.satisfied]
+    if not violating:
         return None, False
-    union: frozenset[int] = frozenset()
-    for s in violators:
-        union |= s
+    union = frozenset().union(*(e.subset for e in violating))
     if not report.entry(union).satisfied:
         return union, False
-    best = max(violators, key=lambda s: (len(s), -report.entry(s).mask))
-    return best, True
+    return max(violating, key=lambda e: (len(e.subset), -e.mask)).subset, True
 
 
 # -- floors, source rate, and the window identities -------------------------------

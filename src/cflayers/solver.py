@@ -25,7 +25,6 @@ from .region import (
     fmt12,
     pick_violator,
     require_valid_layering,
-    subsets_by_mask,
 )
 
 
@@ -57,20 +56,10 @@ class SolveStep:
 
 @dataclass
 class SolveTrace:
-    """Every iteration of one solve call plus the terminal status.
-
-    `final` is the layering actually returned; it differs from the last
-    step's layering only when the accepted layering carried interior empty
-    layers and its compaction also accepts.
-    """
+    """Every iteration of one solve call plus the terminal status."""
 
     steps: list[SolveStep]
     status: str  # "achieved" or "not_converged"
-    final: Layering | None = None
-
-    @property
-    def layering(self) -> Layering:
-        return self.final if self.final is not None else self.steps[-1].layering
 
     @property
     def shifts(self) -> int:
@@ -138,7 +127,7 @@ def solve(
                 packed = compact(current)
                 if check_layered(joint, packed, rates, epsilon).is_member:
                     result = packed
-            return result, SolveTrace(steps=steps, status="achieved", final=result)
+            return result, SolveTrace(steps=steps, status="achieved")
         if n == max_iter:
             break
         core = (relays - chosen) | core
@@ -194,5 +183,6 @@ def verify_core(
         raise InvalidSubsetError(f"core nodes {sorted(foreign)} are not relays")
     rates.check_for(joint.relay_set)
     report = check_layered(joint, layering, rates, epsilon)
-    violations = tuple(s for s in subsets_by_mask(core) if not report.entry(s).satisfied)
+    # relay bitmask order restricted to the core's subsets is the core's own
+    violations = tuple(e.subset for e in report.entries if e.subset <= core and not e.satisfied)
     return CoreReport(core=core, violations=violations)

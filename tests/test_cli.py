@@ -7,6 +7,7 @@ import pytest
 import cflayers as cf
 from cflayers.cli import main
 
+from test_region import MISTYPED_RATE_FILES
 from test_solver import TWO_SHIFT_RATES
 
 
@@ -151,6 +152,33 @@ class TestBadNumbers:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "epsilon" in captured.err
+
+
+class TestMalformedInput:
+    """Mistyped JSON is an input error (exit 2), never a crash (exit 1)."""
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("text", MISTYPED_RATE_FILES)
+    def test_mistyped_rate_file(self, demo2_file, tmp_path, capsys, command, text):
+        path = tmp_path / "rates.json"
+        path.write_text(text)
+        assert main([command, "--channel", demo2_file, "--rates", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "part, field, bad",
+        [(None, "relays", 5), ("source", "alphabet", 2.5), ("destination", "y_alphabet", 2.5)],
+    )
+    def test_mistyped_spec_field(self, tmp_path, capsys, part, field, bad):
+        obj = cf.demo_spec(2, 7).to_json_obj()
+        (obj if part is None else obj[part])[field] = bad
+        chan = tmp_path / "edited.json"
+        chan.write_text(json.dumps(obj))
+        rates = write_rates(tmp_path, {2: 0.0, 3: 0.0})
+        assert main(["check", "--channel", str(chan), "--rates", rates]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and field in captured.err
 
 
 class TestSolve:

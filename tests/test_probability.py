@@ -355,3 +355,17 @@ class TestJson:
         del obj[part][field]
         with pytest.raises(cf.InvalidSpecError, match=field):
             cf.spec_from_json_obj(obj)
+
+    def test_non_list_relays_rejected(self):
+        obj = json.loads(cf.demo_spec(1, 11).dumps())
+        obj["relays"] = 5
+        with pytest.raises(cf.InvalidSpecError):
+            cf.spec_from_json_obj(obj)
+
+    @pytest.mark.parametrize("bad", [2.5, "2", None, float("inf")])
+    def test_non_integral_alphabet_rejected(self, bad):
+        # 2.5 used to be truncated to 2 and accepted
+        obj = json.loads(cf.demo_spec(1, 11).dumps())
+        obj["source"]["alphabet"] = bad
+        with pytest.raises(cf.InvalidSpecError, match="alphabet"):
+            cf.spec_from_json_obj(obj)

@@ -8,7 +8,7 @@ from cflayers.layering import canonicalize, make_layering, parse_layering
 from cflayers.region import subsets_by_mask
 
 from _oracle import brute_force_joint, cond_entropy, entropy, variable_labels
-from conftest import random_layering, random_subset, sample_outer_point
+from conftest import random_layering, random_spec, random_subset, sample_outer_point
 from test_probability import unit_spec
 
 # Frozen oracle values for the seed-7 two-relay demo channel.
@@ -22,6 +22,17 @@ MI_GAP_S2_WITH_DEST = -0.009090667440902027
 MI_GAP_S2_GIVEN_DEST = -0.03158893081584819
 WINDOW_S23 = -0.012758565184144244
 MIN_LAYERED_SINGLE = 0.01293434025689233  # min subset cap of the one-layer layering
+
+
+# Rate files of the wrong shape: each is an input error, never a crash.
+MISTYPED_RATE_FILES = [
+    '{"rates": [0.1, 0.2]}',
+    '{"rates": 5}',
+    "[1]",
+    '{"rates": {"2": null, "3": 0.1}}',
+    '{"rates": {"2": [1], "3": 0.1}}',
+    '{"levels": {"2": 0.1}}',
+]
 
 
 def zero_rates(joint):
@@ -71,6 +82,13 @@ class TestRateVector:
         rv = cf.load_rates(path)
         assert rv.of(2) == 0.125 and rv.of(3) == 0.25
         assert rv.to_json_obj() == {"rates": {"2": 0.125, "3": 0.25}}
+
+    @pytest.mark.parametrize("text", MISTYPED_RATE_FILES)
+    def test_mistyped_rate_file_rejected(self, tmp_path, text):
+        path = tmp_path / "rates.json"
+        path.write_text(text)
+        with pytest.raises(cf.InvalidRatesError):
+            cf.load_rates(path)
 
 
 class TestHTerm:
@@ -132,6 +150,23 @@ class TestLayeredRhs:
     def test_empty_subset(self, demo2):
         with pytest.raises(cf.EmptySubsetError):
             cf.layered_rhs(demo2, parse_layering("2|3"), frozenset())
+
+    def test_subset_outside_layering(self, demo2):
+        with pytest.raises(cf.InvalidSubsetError):
+            cf.layered_rhs(demo2, make_layering([{2}]), {3})
+
+    def test_is_pair_sum_minus_h_chain_exactly(self):
+        # the one-walk loop subtracts the same stages in the same order
+        rng = np.random.default_rng(19)
+        for n_relays in (2, 3, 4):
+            joint = cf.build_joint(random_spec(rng, n_relays=n_relays, max_size=3))
+            for _ in range(4):
+                lay = random_layering(rng, joint.relay_set)
+                for s in subsets_by_mask(joint.relay_set):
+                    want = joint.pair_entropy_sum(s)
+                    for l in range(lay.depth + 1):
+                        want -= cf.h_term(joint, lay, s, l)
+                    assert cf.layered_rhs(joint, lay, s) == want
 
     def test_full_subset_equals_boundary(self, demo2, demo3):
         # the staged sum for S = R telescopes to the outer block entropy

@@ -169,6 +169,21 @@ class TestVerifyCore:
         assert not report.certified
         assert frozenset({2}) in report.violations
 
+    def test_violations_in_core_bitmask_order(self, demo3):
+        lay = parse_layering("2|3|4")
+        rates = cf.RateVector({2: 5.0, 3: 0.0, 4: 5.0})
+        report = cf.check_layered(demo3, lay, rates)
+        assert report.entry({3}).satisfied
+        for core in ({2, 3, 4}, {2, 4}, {3, 4}):
+            want = tuple(
+                s for s in cf.region.subsets_by_mask(core) if not report.entry(s).satisfied
+            )
+            assert len(want) >= 2
+            assert cf.verify_core(demo3, lay, core, rates).violations == want
+        assert cf.verify_core(demo3, lay, {2, 4}, rates).violations == (
+            frozenset({2}), frozenset({4}), frozenset({2, 4})
+        )
+
 
 class TestGappedAcceptance:
     """Near facets the shift walk can accept on an interior-empty layering;
