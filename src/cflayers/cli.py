@@ -156,16 +156,16 @@ def cmd_floors(args) -> int:
     entries = []
     consistent = True
     for s in region.subsets_by_mask(joint.relay_set):
-        gaps = region.window_gap_forms(joint, s)
-        window = gaps[0]
-        mi_form = gaps[-1]
+        cap = region.boundary_rhs(joint, s)
+        window = cap - region.floor_sum(floors, s)
+        mi_form = region.mi_gap(joint, s)
         ok = abs(window - mi_form) <= 1e-9
         consistent &= ok
         entries.append(
             {
                 "subset": sorted(s),
                 "floor_sum": fmt12(region.floor_sum(floors, s)),
-                "boundary_rhs": fmt12(region.boundary_rhs(joint, s)),
+                "boundary_rhs": fmt12(cap),
                 "window": fmt12(window),
                 "window_nonempty": window > 0.0,
                 "mi_gap": fmt12(mi_form),

@@ -6,14 +6,7 @@ class CFLayersError(Exception):
 
 
 class InvalidSpecError(CFLayersError, ValueError):
-    """A channel description failed validation.
-
-    Carries the list of validation issues in ``issues`` when available.
-    """
-
-    def __init__(self, message, issues=()):
-        super().__init__(message)
-        self.issues = tuple(issues)
+    """A channel description failed validation."""
 
 
 class TableTooLargeError(CFLayersError, ValueError):
@@ -25,7 +18,7 @@ class UnknownVariableError(CFLayersError, KeyError):
 
 
 class TooManyRelaysError(CFLayersError, ValueError):
-    """Exhaustive enumeration was requested above the relay cap."""
+    """Layering enumeration was requested above layering.MAX_ENUM_RELAYS relays."""
 
 
 class IndexOutOfRangeError(CFLayersError, IndexError):

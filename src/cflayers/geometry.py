@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionTooHighError, TooManyRelaysError
+from .errors import DimensionTooHighError
 from .layering import Layering, enumerate_layerings
 from .probability import JointPmf
 from .region import (
@@ -166,11 +166,10 @@ def channel_digest(joint: JointPmf) -> str:
     return h.hexdigest()
 
 
-def export_atlas(joint: JointPmf, with_vertices: bool = False, cap: int = 6) -> Atlas:
+def export_atlas(joint: JointPmf, with_vertices: bool = False) -> Atlas:
     """Build the full atlas; vertex lists require at most three relays."""
     relays = joint.relays
-    if len(relays) > cap:
-        raise TooManyRelaysError(f"{len(relays)} relays exceeds the cap of {cap}")
+    layerings = enumerate_layerings(relays)  # too many relays raise before any rate cap
     if with_vertices and len(relays) > MAX_VERTEX_DIM:
         raise DimensionTooHighError(
             f"vertices are available for up to {MAX_VERTEX_DIM} relays, got {len(relays)}"
@@ -181,7 +180,7 @@ def export_atlas(joint: JointPmf, with_vertices: bool = False, cap: int = 6) -> 
         tuple(enumerate_vertices(outer, relays)) if with_vertices else None
     )
     entries = []
-    for layering in enumerate_layerings(relays):
+    for layering in layerings:
         halfspaces = h_rep(joint, layering)
         vertices = (
             tuple(enumerate_vertices(halfspaces, relays)) if with_vertices else None

@@ -119,17 +119,18 @@ def compact(layering: Layering) -> Layering:
     return Layering(tuple(layers) if layers else (frozenset(),))
 
 
-def enumerate_layerings(relays, cap: int = MAX_ENUM_RELAYS) -> list[Layering]:
+def enumerate_layerings(relays) -> list[Layering]:
     """All ordered set partitions of `relays`, no empty layers.
 
     Ordered by layer count, then lexicographically on the layer bitmasks
     (bit j of a mask = j-th smallest relay).  The count is the ordered Bell
-    number of |relays|.
+    number of |relays|, so above MAX_ENUM_RELAYS relays this raises, before
+    it sorts (`cflayers layerings --count` passes a range of any length).
     """
+    n = len(relays)
+    if n > MAX_ENUM_RELAYS:
+        raise TooManyRelaysError(f"{n} relays exceeds the enumeration cap of {MAX_ENUM_RELAYS}")
     nodes = sorted(relays)
-    n = len(nodes)
-    if n > cap:
-        raise TooManyRelaysError(f"{n} relays exceeds the enumeration cap of {cap}")
     out = []
     for k in range(1, n + 1):
         found = []

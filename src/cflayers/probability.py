@@ -116,19 +116,25 @@ class ChannelSpec:
 
 
 def _as_table(raw, name: str) -> np.ndarray:
+    """Nested lists of JSON numbers as an array; true, false and strings are no numbers."""
+    pending = [raw]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise InvalidSpecError(f"table {name} holds {item!r}, which is not a number")
     try:
         arr = np.asarray(raw, dtype=float)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidSpecError(f"table {name} is not rectangular: {exc}") from exc
-    if arr.dtype == object:
-        raise InvalidSpecError(f"table {name} is not rectangular")
     return arr
 
 
 def _as_int(raw, name: str) -> int:
-    """An integral JSON number; 2.0 is fine, 2.5 and "2" are not."""
+    """An integral JSON number; 2.0 is fine, 2.5, "2" and true are not."""
     try:
-        value = int(raw)
+        value = None if isinstance(raw, bool) else int(raw)
     except (ValueError, TypeError, OverflowError):
         value = None
     if value is None or value != raw:
@@ -186,7 +192,10 @@ def spec_from_json_obj(obj: dict) -> ChannelSpec:
 
 def load_spec(path) -> ChannelSpec:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise InvalidSpecError("channel spec is nested too deeply") from None
     return spec_from_json_obj(obj)
 
 
@@ -242,13 +251,13 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
     if spec.d < 3:
         issues.append(ValidationIssue("structure", "d", "need at least one relay (d >= 3)"))
         return issues
-    expected_nodes = tuple(range(2, spec.d))
-    if spec.relay_nodes != expected_nodes:
+    # count first: a huge d must not build a huge range
+    if len(spec.relays) != spec.d - 2 or spec.relay_nodes != tuple(range(2, spec.d)):
         issues.append(
             ValidationIssue(
                 "structure",
                 "relays",
-                f"relay nodes {spec.relay_nodes} do not match 2..d-1 = {expected_nodes}",
+                f"relay nodes {spec.relay_nodes} do not match 2..d-1 = 2..{spec.d - 1}",
             )
         )
         return issues
@@ -286,7 +295,8 @@ class JointPmf:
         if np.any(table < -NORMALIZATION_TOL):
             raise InvalidSpecError("joint table has negative entries")
         mass = float(table.sum())
-        if not abs(mass - 1.0) <= NORMALIZATION_TOL:  # NaN mass fails too
+        # each factor of the product (at most one per axis) may be off by the tolerance
+        if not abs(mass - 1.0) <= NORMALIZATION_TOL * table.ndim:  # NaN mass fails too
             raise InvalidSpecError(f"joint table mass is {mass!r}, not 1")
         table = table.copy()
         table.setflags(write=False)
@@ -432,8 +442,7 @@ def build_joint(spec: ChannelSpec, max_cells: int = MAX_TABLE_CELLS) -> JointPmf
     issues = validate_spec(spec)
     if issues:
         raise InvalidSpecError(
-            "channel spec failed validation: " + "; ".join(str(i) for i in issues),
-            issues,
+            "channel spec failed validation: " + "; ".join(str(i) for i in issues)
         )
 
     variables = [Variable("x", 1, spec.source_alphabet)]

@@ -76,7 +76,10 @@ class RateVector:
 
 def load_rates(path) -> RateVector:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise InvalidRatesError("rate file is nested too deeply") from None
     if not isinstance(obj, dict) or "rates" not in obj:
         raise InvalidRatesError('a rate file is a JSON object with a "rates" field')
     return RateVector(obj["rates"])
@@ -153,7 +156,6 @@ def boundary_rhs(joint: JointPmf, s) -> float:
 @dataclass(frozen=True)
 class SubsetConstraint:
     subset: frozenset[int]
-    mask: int
     rhs: float
     rate_sum: float
     satisfied: bool
@@ -213,13 +215,12 @@ def _build_report(kind, joint, rates, rhs_of, epsilon) -> ConstraintReport:
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     entries = []
-    for mask, s in enumerate(subsets_by_mask(joint.relay_set), 1):
+    for s in subsets_by_mask(joint.relay_set):
         rhs = rhs_of(s)
         rate_sum = rates.subset_sum(s)
         entries.append(
             SubsetConstraint(
                 subset=s,
-                mask=mask,
                 rhs=rhs,
                 rate_sum=rate_sum,
                 satisfied=(rhs - rate_sum) > epsilon,
@@ -257,9 +258,9 @@ def pick_violator(report: ConstraintReport):
     """Largest violating subset from a report: the union of all violators.
 
     Returns (subset, degenerate).  The union itself violating is asserted;
-    if a numerical edge breaks that, fall back to a maximum-cardinality
-    violator with the smallest bitmask and flag the pick as degenerate.
-    Returns (None, False) for a member.
+    if a numerical edge breaks that, fall back to the first
+    maximum-cardinality violator in report (bitmask) order and flag the pick
+    as degenerate.  Returns (None, False) for a member.
     """
     violating = [e for e in report.entries if not e.satisfied]
     if not violating:
@@ -267,7 +268,7 @@ def pick_violator(report: ConstraintReport):
     union = frozenset().union(*(e.subset for e in violating))
     if not report.entry(union).satisfied:
         return union, False
-    return max(violating, key=lambda e: (len(e.subset), -e.mask)).subset, True
+    return max(violating, key=lambda e: len(e.subset)).subset, True
 
 
 # -- floors, source rate, and the window identities -------------------------------

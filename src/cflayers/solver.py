@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSubsetError, NotConvergedError, TooManyRelaysError
+from .errors import InvalidSubsetError, NotConvergedError
 from .layering import Layering, canonicalize, compact, enumerate_layerings, shift
 from .probability import JointPmf
 from .region import (
@@ -143,13 +143,10 @@ def brute_force_layering(
     joint: JointPmf,
     rates: RateVector,
     epsilon: float = DEFAULT_EPSILON,
-    cap: int = 6,
 ) -> list[Layering]:
     """All canonical layerings whose region contains `rates`, in enumeration order."""
     relays = joint.relay_set
     rates.check_for(relays)
-    if len(relays) > cap:
-        raise TooManyRelaysError(f"{len(relays)} relays exceeds the cap of {cap}")
     return [
         layering
         for layering in enumerate_layerings(relays)
@@ -181,7 +178,6 @@ def verify_core(
     foreign = core - joint.relay_set
     if foreign:
         raise InvalidSubsetError(f"core nodes {sorted(foreign)} are not relays")
-    rates.check_for(joint.relay_set)
     report = check_layered(joint, layering, rates, epsilon)
     # relay bitmask order restricted to the core's subsets is the core's own
     violations = tuple(e.subset for e in report.entries if e.subset <= core and not e.satisfied)

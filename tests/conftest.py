@@ -50,6 +50,45 @@ def random_spec(rng, n_relays=2, max_size=3):
     )
 
 
+def thin_spec(n_relays):
+    """Binary inputs, one-letter relay observations and compressions, binary Yd.
+
+    The joint has 2^(n_relays + 2) cells, so relay counts past the layering
+    enumeration limit (7 relays: 512 cells) build instantly.
+    """
+    relays = tuple(
+        cf.RelaySpec(node, 2, 1, 1, np.full(2, 0.5), np.ones((2, 1, 1)))
+        for node in range(2, n_relays + 2)
+    )
+    shape = (2,) * (n_relays + 1) + (1,) * n_relays + (2,)
+    return cf.ChannelSpec(
+        d=n_relays + 2,
+        source_alphabet=2,
+        p_x1=np.full(2, 0.5),
+        relays=relays,
+        dest_alphabet=2,
+        channel=np.full(shape, 0.5),
+    )
+
+
+@pytest.fixture(scope="session")
+def seven_relays():
+    """Seven relays, one past `layering.MAX_ENUM_RELAYS`, in a 512-cell joint."""
+    joint = cf.build_joint(thin_spec(7))
+    assert joint.table.size == 512
+    return joint
+
+
+@pytest.fixture
+def no_entropy(monkeypatch):
+    """Fail any entropy evaluation, generic or relay-set, while the test runs."""
+
+    def refuse(self, *args):
+        raise AssertionError("an entropy was computed")
+
+    monkeypatch.setattr(cf.JointPmf, "_entropy", refuse)
+
+
 def random_layering(rng, relays):
     """Random valid layering; interior (and leading) empty layers can occur."""
     nodes = sorted(relays)

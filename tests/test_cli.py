@@ -7,6 +7,8 @@ import pytest
 import cflayers as cf
 from cflayers.cli import main
 
+from conftest import thin_spec
+from test_probability import NON_NUMBER_SPEC_EDITS, nudged_spec_obj
 from test_region import MISTYPED_RATE_FILES
 from test_solver import TWO_SHIFT_RATES
 
@@ -53,6 +55,10 @@ class TestLayerings:
 
     def test_over_cap(self, capsys):
         assert main(["layerings", "--count", "9"]) == 2
+
+    def test_huge_count_exits_two_at_once(self, capsys):
+        assert main(["layerings", "--count", str(10**12)]) == 2
+        assert "enumeration cap of 6" in capsys.readouterr().err
 
     def test_zero_count(self, capsys):
         assert main(["layerings", "--count", "0"]) == 2
@@ -180,6 +186,34 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and field in captured.err
 
+    @pytest.mark.parametrize("which", ["channel", "rates"])
+    def test_deeply_nested_file(self, demo2_file, tmp_path, capsys, which):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        files = {"channel": demo2_file, "rates": write_rates(tmp_path, {2: 0.0, 3: 0.0})}
+        files[which] = str(deep)
+        assert main(["check", "--channel", files["channel"], "--rates", files["rates"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nested too deeply" in captured.err
+
+    @pytest.mark.parametrize("field, edit", NON_NUMBER_SPEC_EDITS)
+    def test_non_number_in_spec(self, tmp_path, capsys, field, edit):
+        obj = cf.demo_spec(2, 7).to_json_obj()
+        edit(obj)
+        chan = tmp_path / "edited.json"
+        chan.write_text(json.dumps(obj))
+        rates = write_rates(tmp_path, {2: 0.0, 3: 0.0})
+        assert main(["check", "--channel", str(chan), "--rates", rates]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and field in captured.err
+
+    def test_validated_spec_runs(self, tmp_path, capsys):
+        # every table within the validation tolerance, the joint's mass beyond it
+        chan = tmp_path / "nudged.json"
+        chan.write_text(json.dumps(nudged_spec_obj()))
+        assert main(["floors", "--channel", str(chan)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSolve:
     def test_interior_point_achieves(self, demo3_file, tmp_path, capsys):
@@ -232,6 +266,14 @@ class TestExport:
         code = main(["export", "--channel", str(path), "--vertices"])
         assert code == 2
         capsys.readouterr()
+
+    def test_seven_relays_exit_two_before_any_entropy(self, tmp_path, capsys, no_entropy):
+        path = tmp_path / "seven.json"
+        thin_spec(7).save(path)
+        assert main(["export", "--channel", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "7 relays exceeds the enumeration cap of 6" in captured.err
 
 
 class TestDemo:

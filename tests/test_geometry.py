@@ -133,6 +133,11 @@ class TestAtlas:
         with pytest.raises(cf.DimensionTooHighError):
             cf.export_atlas(joint, with_vertices=True)
 
+    @pytest.mark.parametrize("with_vertices", [False, True])
+    def test_relay_cap_before_any_entropy(self, seven_relays, no_entropy, with_vertices):
+        with pytest.raises(cf.TooManyRelaysError, match="enumeration cap of 6"):
+            cf.export_atlas(seven_relays, with_vertices=with_vertices)
+
 
 class TestCoverProperty:
     def test_three_relay_grid(self):

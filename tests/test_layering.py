@@ -87,6 +87,10 @@ class TestEnumerate:
         with pytest.raises(cf.TooManyRelaysError):
             enumerate_layerings(range(2, 10))
 
+    def test_cap_before_materializing(self):
+        with pytest.raises(cf.TooManyRelaysError):
+            enumerate_layerings(range(2, 2 + 10**12))
+
 
 class TestActiveSets:
     def test_definition(self):

@@ -52,6 +52,28 @@ def unit_spec(p_x1=(1.0, 0.0), p_x2=(0.5, 0.5), yhat="const", channel="uniform")
     )
 
 
+def nudged_spec_obj(delta=9e-13):
+    """Seed-7 three-relay demo spec with p_x1 and every p_x off by `delta`.
+
+    Each table passes validation, but the joint multiplies all four, so its
+    mass is off by about four times `delta`.
+    """
+    obj = cf.demo_spec(3, 7).to_json_obj()
+    obj["source"]["p_x1"][0] += delta
+    for relay in obj["relays"]:
+        relay["p_x"][0] += delta
+    return obj
+
+
+# Spec edits whose numbers are not JSON numbers, each with the field it breaks.
+NON_NUMBER_SPEC_EDITS = [
+    ("d", lambda o: o.__setitem__("d", 10**30)),
+    ("p_x1", lambda o: o["source"].__setitem__("p_x1", [True, False])),
+    ("p_x1", lambda o: o["source"].__setitem__("p_x1", ["0.25", "0.75"])),
+    ("x_alphabet", lambda o: o["relays"][0].__setitem__("x_alphabet", True)),
+]
+
+
 class TestValidateSpec:
     def test_well_formed(self):
         assert cf.validate_spec(cf.demo_spec(1, 11)) == []
@@ -103,6 +125,24 @@ class TestValidateSpec:
         table.flat[0] = np.nan
         with pytest.raises(cf.InvalidSpecError, match="mass"):
             cf.JointPmf(demo2.variables, table)
+
+    def test_validated_spec_builds(self):
+        spec = cf.spec_from_json_obj(nudged_spec_obj())
+        assert cf.validate_spec(spec) == []
+        joint = cf.build_joint(spec)
+        assert abs(joint.table.sum() - 1.0) > cf.probability.NORMALIZATION_TOL
+
+    @pytest.mark.parametrize("scale", [1.001, 1.0 + 1e-9, -1.0])
+    def test_joint_with_wrong_mass_rejected(self, demo2, scale):
+        with pytest.raises(cf.InvalidSpecError, match="mass|negative"):
+            cf.JointPmf(demo2.variables, demo2.table * scale)
+
+    def test_huge_d_is_a_structure_issue(self):
+        # d is compared to the relay count before any range is built
+        obj = cf.demo_spec(2, 7).to_json_obj()
+        obj["d"] = 10**30
+        issues = cf.validate_spec(cf.spec_from_json_obj(obj))
+        assert [(i.kind, i.table) for i in issues] == [("structure", "relays")]
 
     def test_build_rejects_invalid(self):
         spec = cf.demo_spec(1, 11)
@@ -369,3 +409,17 @@ class TestJson:
         obj["source"]["alphabet"] = bad
         with pytest.raises(cf.InvalidSpecError, match="alphabet"):
             cf.spec_from_json_obj(obj)
+
+    @pytest.mark.parametrize("field, edit", NON_NUMBER_SPEC_EDITS)
+    def test_non_number_rejected(self, field, edit):
+        # true, false and numeric strings used to pass as 1, 0 and floats
+        obj = cf.demo_spec(2, 7).to_json_obj()
+        edit(obj)
+        with pytest.raises(cf.InvalidSpecError, match=field):
+            cf.build_joint(cf.spec_from_json_obj(obj))
+
+    def test_deeply_nested_file_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(cf.InvalidSpecError, match="nested"):
+            cf.load_spec(path)

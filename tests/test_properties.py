@@ -1,4 +1,4 @@
-"""Hypothesis properties of the layer moves, the shift search, and CLI input handling.
+"""Hypothesis properties of entropies, specs, layer moves, the shift search, and CLI input.
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -7,13 +7,16 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cflayers as cf
 from cflayers.cli import main
 from cflayers.region import subsets_by_mask
+
+from conftest import random_spec
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 
@@ -43,10 +46,42 @@ json_values = st.recursive(
 
 RELAY_FIELDS = ["node", "x_alphabet", "y_alphabet", "yhat_alphabet", "p_x", "p_yhat_given_x_y"]
 
+# Where a number or table sits in a two-relay spec's JSON object.
+SPEC_SLOTS = [
+    ("d",),
+    ("source", "alphabet"),
+    ("source", "p_x1"),
+    ("relays", 0, "x_alphabet"),
+    ("relays", 0, "p_x"),
+    ("relays", 1, "p_yhat_given_x_y"),
+    ("destination", "y_alphabet"),
+    ("channel",),
+]
+
 
 @pytest.fixture(scope="session")
 def chan_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("properties")
+
+
+@pytest.fixture(scope="session")
+def mixed_joints():
+    """Mixed-alphabet joints (sizes 2-3) with one and two relays."""
+    rng = np.random.default_rng(2024)
+    return [cf.build_joint(random_spec(rng, n_relays=n)) for n in (1, 2, 2)]
+
+
+def summed_cond_entropy(joint, b, a):
+    """H(B | A) summed cell by cell from the marginal over A u B."""
+    keep = sorted(a | b, key=joint.variables.index)
+    p = joint.marginal(keep)
+    p_a = p.sum(axis=tuple(k for k, v in enumerate(keep) if v not in a), keepdims=True)
+    ratio = np.divide(p, np.broadcast_to(p_a, p.shape), out=np.ones_like(p), where=p > 0)
+    return float(-np.sum(p * np.log2(ratio)))
+
+
+def spec_tables(spec):
+    return [spec.p_x1, spec.channel] + [t for r in spec.relays for t in (r.p_x, r.p_yhat)]
 
 
 def run_cli(argv):
@@ -60,6 +95,30 @@ def assert_verdict_or_input_error(code, out, err):
     assert code in (0, 1, 2)
     if code == 2:
         assert out == "" and err.startswith("error: ")
+
+
+@PROPERTY
+@given(data=st.data())
+def test_entropy_nonnegative_chain_rule_monotone(mixed_joints, data):
+    joint = data.draw(st.sampled_from(mixed_joints))
+    variables = st.sets(st.sampled_from(joint.variables))
+    a, b = data.draw(variables), data.draw(variables)
+    h_a, h_ab = joint.entropy(a), joint.entropy(a | b)
+    assert 0.0 <= h_a <= sum(np.log2(v.size) for v in a) + 1e-12
+    assert h_ab >= h_a - 1e-12
+    assert h_ab == pytest.approx(h_a + summed_cond_entropy(joint, b - a, a), abs=1e-9)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+def test_spec_survives_json_round_trip(chan_dir, seed, n):
+    spec = random_spec(np.random.default_rng(seed), n_relays=n)
+    path = chan_dir / "round_trip.json"
+    spec.save(path)
+    back = cf.load_spec(path)
+    assert back.dumps() == spec.dumps()
+    for got, want in zip(spec_tables(back), spec_tables(spec), strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @PROPERTY
@@ -138,3 +197,35 @@ def test_any_json_relays_is_exit_two(chan_dir, value):
     code, out, err = run_cli(["check", "--channel", str(chan), "--rates", str(rates)])
     assert code == 2
     assert_verdict_or_input_error(code, out, err)
+
+
+@pytest.fixture(scope="session")
+def zero_rates2(chan_dir):
+    path = chan_dir / "zero_rates2.json"
+    path.write_text('{"rates": {"2": 0.0, "3": 0.0}}')
+    return str(path)
+
+
+@PROPERTY
+@given(
+    text=st.text(max_size=12)
+    | st.lists(st.sampled_from(["2", "3", "4", ",", "|", " ", "-1", "x", "1e3"])).map("".join)
+)
+def test_any_layering_text_is_verdict_or_exit_two(demo2_file, zero_rates2, text):
+    argv = ["check", "--channel", demo2_file, "--rates", zero_rates2, f"--layering={text}"]
+    assert_verdict_or_input_error(*run_cli(argv))
+
+
+@PROPERTY
+@given(slot=st.sampled_from(SPEC_SLOTS), value=json_values | st.integers(min_value=2**63))
+@example(slot=("d",), value=10**30)  # used to build range(2, d) and overflow
+def test_any_json_spec_value_is_verdict_or_exit_two(chan_dir, zero_rates2, slot, value):
+    obj = cf.demo_spec(2, 7).to_json_obj()
+    parent = obj
+    for key in slot[:-1]:
+        parent = parent[key]
+    parent[slot[-1]] = value
+    chan = chan_dir / "spec_value.json"
+    chan.write_text(json.dumps(obj))
+    result = run_cli(["check", "--channel", str(chan), "--rates", zero_rates2])
+    assert_verdict_or_input_error(*result)

@@ -90,6 +90,12 @@ class TestRateVector:
         with pytest.raises(cf.InvalidRatesError):
             cf.load_rates(path)
 
+    def test_deeply_nested_file_rejected(self, tmp_path):
+        path = tmp_path / "rates.json"
+        path.write_text('{"rates": ' + "[" * 200_000)
+        with pytest.raises(cf.InvalidRatesError, match="nested"):
+            cf.load_rates(path)
+
 
 class TestHTerm:
     def test_stage_zero_reduces_to_inputs(self, demo2):
@@ -296,18 +302,19 @@ class TestLargestViolator:
         # not, so the pick falls back to max cardinality / smallest mask
         from cflayers.region import ConstraintReport, SubsetConstraint, pick_violator
 
-        def entry(subset, mask, slack, ok):
+        def entry(subset, slack, ok):
             return SubsetConstraint(
-                subset=frozenset(subset), mask=mask, rhs=slack, rate_sum=0.0, satisfied=ok
+                subset=frozenset(subset), rhs=slack, rate_sum=0.0, satisfied=ok
             )
 
+        # entries in bitmask order, as every report holds them
         report = ConstraintReport(
             kind="layered",
             epsilon=1e-9,
             entries=(
-                entry({2}, 1, -0.1, False),
-                entry({3}, 2, -0.1, False),
-                entry({2, 3}, 3, 0.2, True),
+                entry({2}, -0.1, False),
+                entry({3}, -0.1, False),
+                entry({2, 3}, 0.2, True),
             ),
         )
         picked, degenerate = pick_violator(report)

@@ -146,9 +146,13 @@ class TestBruteForce:
         assert accept == [make_layering([{2}])]
         assert cf.brute_force_layering(joint, cf.RateVector({2: cap + 0.01})) == []
 
-    def test_relay_cap(self, demo2):
+    def test_relay_cap(self, seven_relays):
         with pytest.raises(cf.TooManyRelaysError):
-            cf.brute_force_layering(demo2, zero_rates(demo2), cap=1)
+            cf.brute_force_layering(seven_relays, zero_rates(seven_relays))
+
+    def test_relay_cap_before_any_entropy(self, seven_relays, no_entropy):
+        with pytest.raises(cf.TooManyRelaysError, match="enumeration cap of 6"):
+            cf.brute_force_layering(seven_relays, zero_rates(seven_relays))
 
 
 class TestVerifyCore:
