@@ -42,6 +42,7 @@ from .probability import (
     RelaySpec,
     Variable,
     build_joint,
+    build_relay_joint,
     load_spec,
     spec_from_json_obj,
     validate_spec,

@@ -16,7 +16,7 @@ from . import geometry, region, solver
 from .demo import demo_spec
 from .errors import CFLayersError, NotConvergedError
 from .layering import enumerate_layerings, parse_layering
-from .probability import build_joint, load_spec, validate_spec
+from .probability import build_joint, build_relay_joint, load_spec, validate_spec
 from .region import DEFAULT_EPSILON, fmt12, load_rates
 
 EXIT_OK = 0
@@ -58,10 +58,6 @@ def _show_report(report: region.ConstraintReport, fmt: str) -> None:
         print("\n".join(_report_lines(report)))
 
 
-def _load_joint(args):
-    return build_joint(load_spec(args.channel))
-
-
 def cmd_layerings(args) -> int:
     if args.count < 1:
         raise CFLayersError(f"need at least one relay, got --count {args.count}")
@@ -76,7 +72,7 @@ def cmd_layerings(args) -> int:
 
 
 def cmd_check(args) -> int:
-    joint = _load_joint(args)
+    joint = build_relay_joint(load_spec(args.channel))
     rates = load_rates(args.rates)
     if args.layering is not None:
         layering = parse_layering(args.layering)
@@ -88,7 +84,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    joint = _load_joint(args)
+    joint = build_relay_joint(load_spec(args.channel))
     rates = load_rates(args.rates)
     outer = region.check_outer(joint, rates, args.epsilon)
     if not outer.is_member:
@@ -136,7 +132,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    atlas = geometry.export_atlas(_load_joint(args), with_vertices=args.vertices)
+    joint = build_joint(load_spec(args.channel))
+    atlas = geometry.export_atlas(joint, with_vertices=args.vertices)
     _emit(atlas.dump, args.out)
     return EXIT_OK
 
@@ -151,7 +148,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_floors(args) -> int:
-    joint = _load_joint(args)
+    joint = build_joint(load_spec(args.channel))
     floors = region.compression_floor(joint)
     entries = []
     consistent = True

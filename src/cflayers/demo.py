@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .probability import ChannelSpec, RelaySpec
+from .errors import TableTooLargeError
+from .probability import MAX_TABLE_CELLS, ChannelSpec, RelaySpec
 
 
 def _dithered_row(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -31,6 +32,12 @@ def demo_spec(n_relays: int, seed: int) -> ChannelSpec:
     """Deterministic all-binary channel spec with `n_relays` relays."""
     if n_relays < 1:
         raise ValueError("need at least one relay")
+    # 2^(3n+2) binary cells; compare exponents, so a huge n builds no huge number
+    exponent = 3 * n_relays + 2
+    if exponent >= MAX_TABLE_CELLS.bit_length():
+        raise TableTooLargeError(
+            f"joint table needs 2^{exponent} cells, above the cap of {MAX_TABLE_CELLS}"
+        )
     d = n_relays + 2
     rng = np.random.default_rng(seed)
 

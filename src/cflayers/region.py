@@ -37,12 +37,19 @@ def fmt12(x: float) -> float:
 # -- rate vectors -------------------------------------------------------------
 
 
+def _as_rate(value) -> float:
+    """A JSON number as a float; true, false and strings are no numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 class RateVector:
     """Per-relay compression rates in bits, finite and nonnegative."""
 
     def __init__(self, rates):
         try:
-            self._rates = {int(k): float(v) for k, v in dict(rates).items()}
+            self._rates = {int(k): _as_rate(v) for k, v in dict(rates).items()}
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidRatesError(f"rates must map relay nodes to numbers: {exc}") from exc
 

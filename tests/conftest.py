@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cflayers as cf
+import cflayers.cli  # loads cf.cli
 
 
 @pytest.fixture(scope="session")
@@ -50,24 +51,27 @@ def random_spec(rng, n_relays=2, max_size=3):
     )
 
 
-def thin_spec(n_relays):
-    """Binary inputs, one-letter relay observations and compressions, binary Yd.
+def thin_spec(n_relays, letters=1):
+    """Binary inputs, uniform `letters`-letter relay observations and compressions, binary Yd.
 
-    The joint has 2^(n_relays + 2) cells, so relay counts past the layering
-    enumeration limit (7 relays: 512 cells) build instantly.
+    With one letter the joint has 2^(n_relays + 2) cells, so relay counts past
+    the layering enumeration limit (7 relays: 512 cells) build instantly.
+    With two, every alphabet is binary, as in a demo channel.
     """
     relays = tuple(
-        cf.RelaySpec(node, 2, 1, 1, np.full(2, 0.5), np.ones((2, 1, 1)))
+        cf.RelaySpec(
+            node, 2, letters, letters, np.full(2, 0.5), np.full((2, letters, letters), 1 / letters)
+        )
         for node in range(2, n_relays + 2)
     )
-    shape = (2,) * (n_relays + 1) + (1,) * n_relays + (2,)
+    shape = (2,) * (n_relays + 1) + (letters,) * n_relays + (2,)
     return cf.ChannelSpec(
         d=n_relays + 2,
         source_alphabet=2,
         p_x1=np.full(2, 0.5),
         relays=relays,
         dest_alphabet=2,
-        channel=np.full(shape, 0.5),
+        channel=np.full(shape, 0.5 / letters**n_relays),
     )
 
 
@@ -87,6 +91,17 @@ def no_entropy(monkeypatch):
         raise AssertionError("an entropy was computed")
 
     monkeypatch.setattr(cf.JointPmf, "_entropy", refuse)
+
+
+@pytest.fixture
+def no_full_joint(monkeypatch):
+    """Fail any `build_joint` call, from the library or the CLI, while the test runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full joint was built")
+
+    monkeypatch.setattr(cf.probability, "build_joint", refuse)
+    monkeypatch.setattr(cf.cli, "build_joint", refuse)
 
 
 def random_layering(rng, relays):

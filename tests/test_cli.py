@@ -214,6 +214,50 @@ class TestMalformedInput:
         assert main(["floors", "--channel", str(chan)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", ["check", "floors"])
+    def test_edge_spec_runs_on_either_joint(self, tmp_path, capsys, command):
+        # all eight factors at the edge: check reads the relay joint, floors the full one
+        chan = tmp_path / "edge.json"
+        chan.write_text(json.dumps(nudged_spec_obj(rows=True)))
+        argv = [command, "--channel", str(chan)]
+        if command == "check":
+            argv += ["--rates", write_rates(tmp_path, {2: 0.0, 3: 0.0, 4: 0.0})]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_eight_relays_over_cell_cap(self, tmp_path, capsys):
+        chan = tmp_path / "eight.json"
+        chan.write_text(json.dumps(thin_spec(8, letters=2).to_json_obj()))  # 4 MB, 33 MB indented
+        rates = write_rates(tmp_path, {i: 0.0 for i in range(2, 10)})
+        assert main(["check", "--channel", str(chan), "--rates", rates]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: joint table needs 67108864 cells, above the cap of 16777216\n"
+        )
+
+
+class TestRelayJointOnly:
+    """check and solve read the relay joint; floors and export need the full one."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "command", [["check"], ["check", "--layering", "2,4|3"], ["solve"]],
+        ids=["check", "check_layered", "solve"],
+    )
+    def test_never_builds_full_joint(self, demo3_file, tmp_path, capsys, no_full_joint,
+                                     command, fmt):
+        rates = write_rates(tmp_path, TWO_SHIFT_RATES)
+        argv = command + ["--channel", demo3_file, "--rates", rates, "--format", fmt]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("command", [["floors"], ["export"], ["export", "--vertices"]])
+    def test_floors_and_export_build_it(self, demo3_file, no_full_joint, command):
+        with pytest.raises(AssertionError, match="full joint"):
+            main(command + ["--channel", demo3_file])
+
 
 class TestSolve:
     def test_interior_point_achieves(self, demo3_file, tmp_path, capsys):
@@ -292,6 +336,25 @@ class TestDemo:
         out = tmp_path / "gen.json"
         assert main(["demo", "--relays", "3", "--seed", "9", "--out", str(out)]) == 0
         assert cf.validate_spec(cf.load_spec(out)) == []
+
+    @pytest.mark.parametrize("relays, cells", [(8, "2^26"), (10**12, "2^3000000000002")])
+    def test_over_cell_cap_exits_two_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                    relays, cells):
+        def refuse(*args):
+            raise AssertionError("a table was drawn")
+
+        monkeypatch.setattr(cf.demo, "_dithered_row", refuse)
+        out = tmp_path / "big.json"
+        assert main(["demo", "--relays", str(relays), "--seed", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"joint table needs {cells} cells, above the cap of 16777216" in captured.err
+
+    def test_seven_relays_still_emitted(self, tmp_path):
+        out = tmp_path / "seven.json"
+        assert main(["demo", "--relays", "7", "--seed", "1", "--out", str(out)]) == 0
+        assert cf.load_spec(out).d == 9
 
 
 class TestFloors:

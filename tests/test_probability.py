@@ -1,6 +1,7 @@
 """Channel spec validation, joint construction, and the entropy engine."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import cflayers as cf
 
 from _oracle import brute_force_joint, cond_entropy, entropy, mutual_info, variable_labels
-from conftest import random_spec, random_subset
+from conftest import random_spec, random_subset, thin_spec
 
 # Frozen oracle values for the seed-7 two-relay demo channel (direct-summation
 # brute force over all 256 assignments).
@@ -52,17 +53,39 @@ def unit_spec(p_x1=(1.0, 0.0), p_x2=(0.5, 0.5), yhat="const", channel="uniform")
     )
 
 
-def nudged_spec_obj(delta=9e-13):
+def nudged_spec_obj(delta=9e-13, rows=False):
     """Seed-7 three-relay demo spec with p_x1 and every p_x off by `delta`.
 
     Each table passes validation, but the joint multiplies all four, so its
-    mass is off by about four times `delta`.
+    mass is off by about four times `delta`.  With `rows`, every row of each
+    compression kernel and of the channel is off by `delta` too: all eight
+    factors sit at the edge, one more than the seven axes of a relay joint.
     """
     obj = cf.demo_spec(3, 7).to_json_obj()
     obj["source"]["p_x1"][0] += delta
     for relay in obj["relays"]:
         relay["p_x"][0] += delta
+    if rows:
+        for relay in obj["relays"]:
+            p_yhat = np.array(relay["p_yhat_given_x_y"])
+            p_yhat[..., 0] += delta
+            relay["p_yhat_given_x_y"] = p_yhat.tolist()
+        channel = np.array(obj["channel"])
+        channel.reshape(2 ** (1 + len(obj["relays"])), -1)[:, 0] += delta
+        obj["channel"] = channel.tolist()
     return obj
+
+
+def relay_axes(joint):
+    """The (Xi, Yhi per relay, Yd) variables of a full joint, in canonical order."""
+    kept = [v for v in joint.variables if v.kind == "yhat" or v.kind == "x" and v.node != 1]
+    return kept + [joint.yd]
+
+
+def mixed_specs():
+    """Mixed-alphabet random specs with 2, 3 and 4 relays."""
+    rng = np.random.default_rng(61)
+    return [random_spec(rng, n_relays=n) for n in (2, 3, 4)]
 
 
 # Spec edits whose numbers are not JSON numbers, each with the field it breaks.
@@ -72,6 +95,43 @@ NON_NUMBER_SPEC_EDITS = [
     ("p_x1", lambda o: o["source"].__setitem__("p_x1", ["0.25", "0.75"])),
     ("x_alphabet", lambda o: o["relays"][0].__setitem__("x_alphabet", True)),
 ]
+
+
+def _nan_in(table):
+    """Seed-7 two-relay demo spec with a NaN in p_x1, p_x2 or the channel."""
+    spec = cf.demo_spec(2, 7)
+    p_x1, p_x2, channel = spec.p_x1.copy(), spec.relays[0].p_x.copy(), spec.channel.copy()
+    {"p_x1": p_x1, "p_x2": p_x2, "channel": channel}[table].flat[0] = np.nan
+    relays = (cf.RelaySpec(2, 2, 2, 2, p_x2, spec.relays[0].p_yhat), spec.relays[1])
+    return cf.ChannelSpec(spec.d, 2, p_x1, relays, 2, channel)
+
+
+def _huge_d():
+    """Seed-7 two-relay demo spec claiming d = 10^30."""
+    obj = cf.demo_spec(2, 7).to_json_obj()
+    obj["d"] = 10**30
+    return cf.spec_from_json_obj(obj)
+
+
+def _half_p_x1():
+    """One-relay demo spec whose p_x1 sums to 1/2."""
+    spec = cf.demo_spec(1, 11)
+    return cf.ChannelSpec(
+        spec.d, spec.source_alphabet, spec.p_x1 * 0.5, spec.relays, spec.dest_alphabet,
+        spec.channel,
+    )
+
+
+# Specs that no builder accepts: each raises before any table is multiplied.
+INVALID_SPECS = {
+    "nan_p_x1": partial(_nan_in, "p_x1"),
+    "nan_p_x2": partial(_nan_in, "p_x2"),
+    "nan_channel": partial(_nan_in, "channel"),
+    "huge_d": _huge_d,
+    "unnormalized_p_x1": _half_p_x1,
+    "edge_past_tolerance": lambda: cf.spec_from_json_obj(nudged_spec_obj(2e-12, rows=True)),
+    "eight_relays_over_cell_cap": lambda: thin_spec(8, letters=2),
+}
 
 
 class TestValidateSpec:
@@ -111,11 +171,7 @@ class TestValidateSpec:
 
     @pytest.mark.parametrize("table", ["p_x1", "p_x2", "channel"])
     def test_nan_entry_rejected(self, table):
-        spec = cf.demo_spec(2, 7)
-        p_x1, p_x2, channel = spec.p_x1.copy(), spec.relays[0].p_x.copy(), spec.channel.copy()
-        {"p_x1": p_x1, "p_x2": p_x2, "channel": channel}[table].flat[0] = np.nan
-        relays = (cf.RelaySpec(2, 2, 2, 2, p_x2, spec.relays[0].p_yhat), spec.relays[1])
-        spec = cf.ChannelSpec(spec.d, 2, p_x1, relays, 2, channel)
+        spec = _nan_in(table)
         assert {i.table for i in cf.validate_spec(spec) if i.kind == "range"} == {table}
         with pytest.raises(cf.InvalidSpecError):
             cf.build_joint(spec)
@@ -132,6 +188,15 @@ class TestValidateSpec:
         joint = cf.build_joint(spec)
         assert abs(joint.table.sum() - 1.0) > cf.probability.NORMALIZATION_TOL
 
+    def test_edge_spec_builds_either_way(self):
+        spec = cf.spec_from_json_obj(nudged_spec_obj(rows=True))
+        assert cf.validate_spec(spec) == []
+        full, relay = cf.build_joint(spec), cf.build_relay_joint(spec)
+        # more than one tolerance per axis of the relay joint, within one per factor
+        tol = cf.probability.NORMALIZATION_TOL
+        for joint in (full, relay):
+            assert 7 * tol < abs(joint.table.sum() - 1.0) <= 8 * tol
+
     @pytest.mark.parametrize("scale", [1.001, 1.0 + 1e-9, -1.0])
     def test_joint_with_wrong_mass_rejected(self, demo2, scale):
         with pytest.raises(cf.InvalidSpecError, match="mass|negative"):
@@ -139,19 +204,12 @@ class TestValidateSpec:
 
     def test_huge_d_is_a_structure_issue(self):
         # d is compared to the relay count before any range is built
-        obj = cf.demo_spec(2, 7).to_json_obj()
-        obj["d"] = 10**30
-        issues = cf.validate_spec(cf.spec_from_json_obj(obj))
+        issues = cf.validate_spec(_huge_d())
         assert [(i.kind, i.table) for i in issues] == [("structure", "relays")]
 
     def test_build_rejects_invalid(self):
-        spec = cf.demo_spec(1, 11)
-        spec = cf.ChannelSpec(
-            spec.d, spec.source_alphabet, spec.p_x1 * 0.5, spec.relays,
-            spec.dest_alphabet, spec.channel,
-        )
         with pytest.raises(cf.InvalidSpecError):
-            cf.build_joint(spec)
+            cf.build_joint(_half_p_x1())
 
 
 class TestBuildJoint:
@@ -188,6 +246,46 @@ class TestBuildJoint:
             demo2.table[0, 0, 0, 0, 0, 0, 0, 0] = 0.5
 
 
+class TestBuildRelayJoint:
+    def test_table_matches_full_marginal(self):
+        for spec in mixed_specs():
+            full, relay = cf.build_joint(spec), cf.build_relay_joint(spec)
+            assert list(relay.variables) == relay_axes(full)
+            assert np.max(np.abs(relay.table - full.marginal(relay_axes(full)))) <= 1e-15
+            assert relay.relays == full.relays and relay.d == full.d
+
+    def test_every_cap_matches_full_joint(self):
+        for spec in mixed_specs():
+            full, relay = cf.build_joint(spec), cf.build_relay_joint(spec)
+            subsets = list(cf.region.subsets_by_mask(full.relay_set))
+            for s in subsets:
+                assert abs(cf.boundary_rhs(relay, s) - cf.boundary_rhs(full, s)) <= 1e-12
+            for lay in cf.enumerate_layerings(full.relays):
+                for s in subsets:
+                    got, want = cf.layered_rhs(relay, lay, s), cf.layered_rhs(full, lay, s)
+                    assert abs(got - want) <= 1e-12
+
+    def test_no_source_input_or_relay_observation(self):
+        joint = cf.build_relay_joint(cf.demo_spec(2, 7))
+        for query in (
+            lambda: joint.x1,
+            lambda: joint.y(2),
+            lambda: cf.source_rate(joint),
+            lambda: cf.compression_floor(joint),
+        ):
+            with pytest.raises(cf.UnknownVariableError):
+                query()
+
+    @pytest.mark.parametrize("make", INVALID_SPECS.values(), ids=INVALID_SPECS.keys())
+    def test_same_error_from_both_builders(self, make):
+        errors = []
+        for build in (cf.build_joint, cf.build_relay_joint):
+            with pytest.raises(cf.CFLayersError) as info:
+                build(make())
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+
 class TestEntropy:
     def test_uniform_bit(self):
         joint = cf.build_joint(unit_spec())
@@ -217,15 +315,16 @@ class TestRelayEntropy:
         rng = np.random.default_rng(48)
         for n_relays in (2, 2, 3):
             spec = random_spec(rng, n_relays=n_relays)
-            joint = cf.build_joint(spec)
+            joints = (cf.build_joint(spec), cf.build_relay_joint(spec))
             pmf = brute_force_joint(spec)
             labels = variable_labels(spec)
             for _ in range(8):
-                a = random_subset(rng, joint.relays)
-                b = random_subset(rng, joint.relays)
+                a = random_subset(rng, spec.relay_nodes)
+                b = random_subset(rng, spec.relay_nodes)
                 wanted = [f"X{i}" for i in sorted(a)] + [f"Yh{i}" for i in sorted(b)]
                 want = entropy(pmf, labels, wanted + [f"Y{spec.d}"])
-                assert joint.relay_entropy(a, b) == pytest.approx(want, abs=1e-9)
+                for joint in joints:
+                    assert joint.relay_entropy(a, b) == pytest.approx(want, abs=1e-9)
 
     def test_same_value_as_generic_query(self, demo3):
         a, b = frozenset({2, 4}), frozenset({3})

@@ -31,6 +31,8 @@ MISTYPED_RATE_FILES = [
     "[1]",
     '{"rates": {"2": null, "3": 0.1}}',
     '{"rates": {"2": [1], "3": 0.1}}',
+    '{"rates": {"2": true, "3": 0.1}}',
+    '{"rates": {"2": 0.1, "3": "0.001"}}',
     '{"levels": {"2": 0.1}}',
 ]
 
@@ -68,6 +70,11 @@ class TestRateVector:
     def test_non_finite_rejected(self, demo2, bad):
         with pytest.raises(cf.InvalidRatesError):
             cf.check_outer(demo2, cf.RateVector({2: bad, 3: 0.0}))
+
+    @pytest.mark.parametrize("bad", [True, False, "0.001", None, 10**400])
+    def test_non_number_rejected(self, bad):
+        with pytest.raises(cf.InvalidRatesError, match="not a number|too large"):
+            cf.RateVector({2: bad, 3: 0.001})
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-9])
     def test_bad_epsilon_rejected(self, demo2, epsilon):
