@@ -10,7 +10,7 @@ class InvalidSpecError(CFLayersError, ValueError):
 
 
 class TableTooLargeError(CFLayersError, ValueError):
-    """The dense joint table would exceed the configured cell cap."""
+    """The dense joint table would exceed the cell cap, probability.MAX_TABLE_CELLS."""
 
 
 class UnknownVariableError(CFLayersError, KeyError):

@@ -44,14 +44,31 @@ def _as_rate(value) -> float:
     return float(value)
 
 
+def _as_node(key) -> int:
+    """A rate key as a relay node: an int, or a string that spells one as str() does."""
+    node = int(key)
+    if str(node) != str(key):  # int() reads "02", " +2 ", True and 2.5 as nodes too
+        raise ValueError(f"{key!r} is not a relay node")
+    return node
+
+
+def _distinct(pairs) -> dict:
+    """The pairs as a dict; a key given twice raises instead of keeping the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise InvalidRatesError("rates give one relay node or key twice")
+    return obj
+
+
 class RateVector:
     """Per-relay compression rates in bits, finite and nonnegative."""
 
     def __init__(self, rates):
         try:
-            self._rates = {int(k): _as_rate(v) for k, v in dict(rates).items()}
+            pairs = [(_as_node(k), _as_rate(v)) for k, v in dict(rates).items()]
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidRatesError(f"rates must map relay nodes to numbers: {exc}") from exc
+        self._rates = _distinct(pairs)
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -84,7 +101,7 @@ class RateVector:
 def load_rates(path) -> RateVector:
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_distinct)
         except RecursionError:
             raise InvalidRatesError("rate file is nested too deeply") from None
     if not isinstance(obj, dict) or "rates" not in obj:

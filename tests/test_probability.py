@@ -88,12 +88,40 @@ def mixed_specs():
     return [random_spec(rng, n_relays=n) for n in (2, 3, 4)]
 
 
+def nested(depth):
+    """A one-entry table `depth` lists deep."""
+    table = 1.0
+    for _ in range(depth):
+        table = [table]
+    return table
+
+
+def cut_short(obj, depth):
+    """Shorten the last row of relay 2's compression kernel after `depth` axes."""
+    rows = obj["relays"][0]["p_yhat_given_x_y"]
+    for _ in range(depth - 1):
+        rows = rows[-1]
+    rows[-1] = rows[-1][:1]
+
+
+# Spec tables whose entries are no JSON numbers or do not line up, each with the table named.
+BAD_TABLE_EDITS = [
+    pytest.param("p_x1", lambda o: o["source"].__setitem__("p_x1", [0.25, True]), id="true"),
+    pytest.param("p_x1", lambda o: o["source"].__setitem__("p_x1", [0.5, None]), id="null"),
+    pytest.param("p_x1", lambda o: o["source"].__setitem__("p_x1", [{"a": 1}, 0.5]), id="object"),
+    pytest.param("p_yhat2", partial(cut_short, depth=1), id="ragged-depth-1"),
+    pytest.param("p_yhat2", partial(cut_short, depth=2), id="ragged-depth-2"),
+    pytest.param("p_x1", lambda o: o["source"].__setitem__("p_x1", [10**400, 0.5]), id="10**400"),
+    pytest.param("channel", lambda o: o.__setitem__("channel", nested(200)), id="200-deep"),
+]
+
 # Spec edits whose numbers are not JSON numbers, each with the field it breaks.
 NON_NUMBER_SPEC_EDITS = [
     ("d", lambda o: o.__setitem__("d", 10**30)),
     ("p_x1", lambda o: o["source"].__setitem__("p_x1", [True, False])),
     ("p_x1", lambda o: o["source"].__setitem__("p_x1", ["0.25", "0.75"])),
     ("x_alphabet", lambda o: o["relays"][0].__setitem__("x_alphabet", True)),
+    *BAD_TABLE_EDITS,
 ]
 
 
@@ -239,7 +267,7 @@ class TestBuildJoint:
 
     def test_table_cap(self):
         with pytest.raises(cf.TableTooLargeError):
-            cf.build_joint(cf.demo_spec(2, 7), max_cells=100)
+            cf.build_joint(thin_spec(8, letters=2))
 
     def test_table_immutable(self, demo2):
         with pytest.raises(ValueError):
@@ -516,6 +544,13 @@ class TestJson:
         edit(obj)
         with pytest.raises(cf.InvalidSpecError, match=field):
             cf.build_joint(cf.spec_from_json_obj(obj))
+
+    @pytest.mark.parametrize("table, edit", BAD_TABLE_EDITS)
+    def test_bad_table_rejected_on_load(self, table, edit):
+        obj = cf.demo_spec(2, 7).to_json_obj()
+        edit(obj)
+        with pytest.raises(cf.InvalidSpecError, match=f"table {table} (holds|is not rectangular)"):
+            cf.spec_from_json_obj(obj)
 
     def test_deeply_nested_file_rejected(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -6,6 +6,7 @@ Examples are derandomized, so every run draws the same cases.
 import contextlib
 import io
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -119,6 +120,32 @@ def test_spec_survives_json_round_trip(chan_dir, seed, n):
     assert back.dumps() == spec.dumps()
     for got, want in zip(spec_tables(back), spec_tables(spec), strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_submodular(cap, relays):
+    """f(A) + f(B) >= f(A u B) + f(A n B) within 1e-12 for all subsets, f(empty) = 0."""
+    f = {frozenset(): 0.0}
+    f.update((s, cap(s)) for s in subsets_by_mask(relays))
+    for a in f:
+        for b in f:
+            assert f[a] + f[b] >= f[a | b] + f[a & b] - 1e-12, (sorted(a), sorted(b))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_outer_cap_is_submodular(seed, n):
+    # a modular pair sum plus an entropy of the complement: a theorem
+    joint = cf.build_relay_joint(random_spec(np.random.default_rng(seed), n_relays=n))
+    assert_submodular(partial(cf.boundary_rhs, joint), joint.relay_set)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
+def test_every_layered_cap_is_submodular(seed, n):
+    # observed on every case tried, not proven
+    joint = cf.build_relay_joint(random_spec(np.random.default_rng(seed), n_relays=n))
+    for lay in cf.enumerate_layerings(joint.relay_set):
+        assert_submodular(partial(cf.layered_rhs, joint, lay), joint.relay_set)
 
 
 @PROPERTY

@@ -7,6 +7,7 @@ import cflayers as cf
 from cflayers.layering import canonicalize, make_layering, parse_layering
 from cflayers.region import subsets_by_mask
 
+from _factor_oracle import FactorOracle
 from _oracle import brute_force_joint, cond_entropy, entropy, variable_labels
 from conftest import random_layering, random_spec, random_subset, sample_outer_point
 from test_probability import unit_spec
@@ -34,6 +35,11 @@ MISTYPED_RATE_FILES = [
     '{"rates": {"2": true, "3": 0.1}}',
     '{"rates": {"2": 0.1, "3": "0.001"}}',
     '{"levels": {"2": 0.1}}',
+    # keys that alias a relay, or repeat, used to keep whichever came last
+    '{"rates": {"2": 0.001, "02": 9.0, "3": 0.001}}',
+    '{"rates": {"2": 0.001, " +3 ": 0.001}}',
+    '{"rates": {"2": 0.001, "\\u0663": 0.001}}',
+    '{"rates": {"2": 0.001, "2": 9.0, "3": 0.001}}',
 ]
 
 
@@ -75,6 +81,13 @@ class TestRateVector:
     def test_non_number_rejected(self, bad):
         with pytest.raises(cf.InvalidRatesError, match="not a number|too large"):
             cf.RateVector({2: bad, 3: 0.001})
+
+    @pytest.mark.parametrize(
+        "rates", [{"02": 0.1, 3: 0.1}, {2: 0.1, "2": 0.2, 3: 0.1}, {True: 0.1}, {2.0: 0.1}]
+    )
+    def test_aliasing_key_rejected(self, rates):
+        with pytest.raises(cf.InvalidRatesError, match="relay node|name relay 2"):
+            cf.RateVector(rates)
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-9])
     def test_bad_epsilon_rejected(self, demo2, epsilon):
@@ -504,3 +517,37 @@ class TestLayeredVersusOuter:
                     inside += cf.check_outer(demo2, rates).is_member
         print(f"layered members also in outer region: {inside}/{total}")
         assert total > 0
+
+
+class TestFactorOracle:
+    """The einsum-per-query reference of `_factor_oracle` against the pure-Python
+    oracle at 2-3 relays, then against the relay joint where that oracle cannot go."""
+
+    def test_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(83)
+        for n_relays, queries in ((2, 16), (3, 10)):
+            spec = random_spec(rng, n_relays=n_relays)
+            oracle, pmf = FactorOracle(spec), brute_force_joint(spec)
+            labels = variable_labels(spec)
+            for _ in range(queries):
+                a, b = random_subset(rng, oracle.relays), random_subset(rng, oracle.relays)
+                wanted = [f"X{i}" for i in sorted(a)] + [f"Yh{i}" for i in sorted(b)]
+                want = entropy(pmf, labels, wanted + [f"Y{spec.d}"])
+                assert abs(oracle.relay_entropy(a, b) - want) <= 1e-12
+            for i in oracle.relays:
+                want = entropy(pmf, labels, [f"X{i}", f"Yh{i}"])
+                assert abs(oracle.pair_entropy(i) - want) <= 1e-12
+
+    @pytest.mark.parametrize("n_relays, seed", [(6, 7), (7, 1)])
+    def test_caps_match_relay_joint(self, n_relays, seed):
+        spec = cf.demo_spec(n_relays, seed)
+        joint, oracle = cf.build_relay_joint(spec), FactorOracle(spec)
+        subsets = list(subsets_by_mask(joint.relay_set))
+        for s in subsets:
+            assert abs(cf.boundary_rhs(joint, s) - oracle.outer_cap(s)) <= 1e-12
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            lay = random_layering(rng, joint.relay_set)
+            for s in subsets:
+                want = oracle.layered_cap(lay.layers, s)
+                assert abs(cf.layered_rhs(joint, lay, s) - want) <= 1e-12
