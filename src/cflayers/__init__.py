@@ -12,10 +12,12 @@ from .errors import (
     CFLayersError,
     DimensionTooHighError,
     EmptySubsetError,
+    IncompleteRestrictionError,
     IndexOutOfRangeError,
     InvalidRatesError,
     InvalidSpecError,
     InvalidSubsetError,
+    LayeringSyntaxError,
     NotConvergedError,
     TableTooLargeError,
     TooManyRelaysError,

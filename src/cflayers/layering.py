@@ -20,6 +20,7 @@ from itertools import product
 from .errors import (
     IndexOutOfRangeError,
     InvalidSubsetError,
+    LayeringSyntaxError,
     TooManyRelaysError,
 )
 
@@ -63,6 +64,18 @@ def make_layering(layers) -> Layering:
     return Layering(tuple(frozenset(layer) for layer in layers))
 
 
+def _node(tok: str, text: str) -> int:
+    """A layering token as a node: spaced or not, spelled as str() spells the integer."""
+    tok = tok.strip()
+    try:
+        node = int(tok)
+    except ValueError:
+        node = None
+    if node is None or str(node) != tok:  # int() reads "03", "+3" and non-ASCII digits too
+        raise LayeringSyntaxError(f"layering {text!r} has a bad node {tok!r}")
+    return node
+
+
 def parse_layering(text: str) -> Layering:
     """Parse the `2,4|3` syntax (shallowest layer first, empty segments allowed)."""
     layers = []
@@ -71,7 +84,7 @@ def parse_layering(text: str) -> Layering:
         if not segment:
             layers.append(frozenset())
             continue
-        layers.append(frozenset(int(tok) for tok in segment.split(",")))
+        layers.append(frozenset(_node(tok, text) for tok in segment.split(",")))
     return Layering(tuple(layers))
 
 

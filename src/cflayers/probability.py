@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    IncompleteRestrictionError,
     InvalidSpecError,
     TableTooLargeError,
     UnknownVariableError,
@@ -286,13 +287,18 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
 
 
 class JointPmf:
-    """Dense joint pmf over (X1, {Xi, Yi, Yhi} per relay, Yd), or over the
-    (Xi, Yhi per relay, Yd) part of it.  Immutable.
+    """Dense joint pmf over (X1, {Xi, Yi, Yhi} per relay, Yd), or over a part
+    of it that keeps every Xi and Yd, such as (Xi, Yhi per relay, Yd).  Immutable.
 
     Axes follow that canonical order with the last index fastest; one
     (kind, node) -> axis map is the only layout lookup.  Entropy queries
     marginalize the table and are memoized by the bitmask of kept axes;
     concurrent reads are safe (worst case a value is computed twice).
+
+    `restrict(variables)` sums the table once down to `variables` and returns
+    their joint, in canonical order with a memo of its own, so a batch of
+    queries that reads only those axes sums a smaller table.  The relays and
+    Yd are read off the kept axes, so every relay input and Yd must be kept.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
@@ -394,6 +400,19 @@ class JointPmf:
     def marginal(self, variables) -> np.ndarray:
         """Marginal table over `variables`, axes in canonical order."""
         return self._sum_to(self._mask(variables))
+
+    def restrict(self, variables) -> JointPmf:
+        """The joint of `variables` alone; raises IncompleteRestrictionError
+        unless they include every relay input and Yd."""
+        mask = self._mask(variables)
+        kept = tuple(v for i, v in enumerate(self._variables) if (mask >> i) & 1)
+        needed = [self.x(i) for i in self._relays] + [self.yd]
+        dropped = [v.label for v in needed if v not in kept]
+        if dropped:
+            raise IncompleteRestrictionError(
+                f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
+            )
+        return JointPmf(kept, self.marginal(kept))
 
     def entropy(self, variables) -> float:
         """Joint Shannon entropy H(variables) in bits; H(empty) = 0."""

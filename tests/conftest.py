@@ -104,6 +104,20 @@ def no_full_joint(monkeypatch):
     monkeypatch.setattr(cf.cli, "build_joint", refuse)
 
 
+@pytest.fixture
+def summed_sizes(monkeypatch):
+    """The size of every table a marginal is summed from while the test runs, in order."""
+    sizes = []
+    sum_to = cf.JointPmf._sum_to
+
+    def counted(self, mask):
+        sizes.append(self.table.size)
+        return sum_to(self, mask)
+
+    monkeypatch.setattr(cf.JointPmf, "_sum_to", counted)
+    return sizes
+
+
 def random_layering(rng, relays):
     """Random valid layering; interior (and leading) empty layers can occur."""
     nodes = sorted(relays)

@@ -8,6 +8,7 @@ import cflayers as cf
 from cflayers.cli import main
 
 from conftest import thin_spec
+from test_layering import BAD_LAYERING_TOKENS
 from test_probability import NON_NUMBER_SPEC_EDITS, nudged_spec_obj
 from test_region import MISTYPED_RATE_FILES
 from test_solver import TWO_SHIFT_RATES
@@ -97,6 +98,15 @@ class TestCheck:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, token", BAD_LAYERING_TOKENS)
+    def test_misspelled_layering_node(self, demo2_file, tmp_path, capsys, text, token):
+        rates = write_rates(tmp_path, {2: 0.0, 3: 0.0})
+        code = main(["check", "--channel", demo2_file, "--rates", rates, "--layering", text])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: layering {text!r} has a bad node {token!r}\n"
 
     def test_malformed_rates_exit_two(self, demo2_file, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -365,6 +375,14 @@ class TestFloors:
         assert set(obj["floors"]) == {"2", "3"}
         for entry in obj["subsets"]:
             assert abs(entry["window"] - entry["mi_gap"]) <= 1e-9
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_full_table_summed_once(self, demo3_file, capsys, summed_sizes, fmt):
+        # once down to the X1-free joint; every later query sums a smaller table
+        full_size = cf.build_joint(cf.demo_spec(3, 3)).table.size
+        assert main(["floors", "--channel", demo3_file, "--format", fmt]) == 0
+        assert summed_sizes.count(full_size) == 1
+        assert capsys.readouterr().err == ""
 
     def test_constant_compression_floors_zero(self, tmp_path, capsys):
         from test_probability import unit_spec

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cflayers as cf
+from cflayers.errors import LayeringSyntaxError
 from cflayers.layering import (
     Layering,
     active,
@@ -19,6 +20,17 @@ from cflayers.layering import (
 )
 
 from conftest import random_layering, random_subset
+
+# Layering text with a token that is no node as str() spells it, and that token.
+BAD_LAYERING_TOKENS = [
+    ("\u0662|\u0663", "\u0662"),  # Arabic-Indic digits that int() reads as 2 and 3
+    ("+2|03", "+2"),
+    ("2|03", "03"),
+    ("2|x", "x"),
+    ("2,,3", ""),
+    ("2|3_0", "3_0"),
+    ("2|3.0", "3.0"),
+]
 
 R23 = frozenset({2, 3})
 R234 = frozenset({2, 3, 4})
@@ -189,6 +201,16 @@ class TestText:
     def test_roundtrip(self):
         for text in ("2|3", "2,3,4", "2,4|3", "3|4|2"):
             assert parse_layering(text).to_text() == text
+
+    def test_spaces_around_tokens(self):
+        assert parse_layering(" 2 , 4 |3 ") == parse_layering("2,4|3")
+
+    @pytest.mark.parametrize("text, token", BAD_LAYERING_TOKENS)
+    def test_misspelled_node(self, text, token):
+        with pytest.raises(LayeringSyntaxError) as info:
+            parse_layering(text)
+        assert str(info.value) == f"layering {text!r} has a bad node {token!r}"
+        assert isinstance(info.value, ValueError)
 
     def test_interior_empty(self):
         lay = parse_layering("2||3")

@@ -2,6 +2,7 @@
 
 import json
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -80,6 +81,10 @@ def relay_axes(joint):
     """The (Xi, Yhi per relay, Yd) variables of a full joint, in canonical order."""
     kept = [v for v in joint.variables if v.kind == "yhat" or v.kind == "x" and v.node != 1]
     return kept + [joint.yd]
+
+
+def powerset(nodes):
+    return [frozenset(c) for k in range(len(nodes) + 1) for c in combinations(nodes, k)]
 
 
 def mixed_specs():
@@ -312,6 +317,63 @@ class TestBuildRelayJoint:
                 build(make())
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
+
+
+def kept_sets(joint, rng, count):
+    """Random variable sets that keep every relay input and Yd, with or without the rest."""
+    needed = joint.xs(joint.relays) | {joint.yd}
+    optional = [v for v in joint.variables if v not in needed]
+    return [needed | {v for v in optional if rng.random() < 0.5} for _ in range(count)]
+
+
+class TestRestrict:
+    def test_queries_match_parent(self):
+        rng = np.random.default_rng(83)
+        for n in (2, 2, 3, 3):
+            full = cf.build_joint(random_spec(rng, n_relays=n))
+            for keep in kept_sets(full, rng, 3):
+                joint = full.restrict(keep)
+                yhat_nodes = [v.node for v in joint.variables if v.kind == "yhat"]
+                for a in powerset(full.relays):
+                    for b in powerset(yhat_nodes):
+                        got, want = joint.relay_entropy(a, b), full.relay_entropy(a, b)
+                        assert abs(got - want) <= 1e-12
+                for u in joint.variables:
+                    for v in joint.variables:
+                        assert abs(joint.entropy({u, v}) - full.entropy({u, v})) <= 1e-12
+
+    def test_canonical_order_and_table(self, demo3):
+        keep = [demo3.yd, demo3.y(3), *demo3.xs(demo3.relays), demo3.x1]
+        joint = demo3.restrict(reversed(keep))
+        assert list(joint.variables) == sorted(keep, key=demo3.variables.index)
+        assert np.array_equal(joint.table, demo3.marginal(keep))
+        assert joint.relays == demo3.relays and joint.d == demo3.d
+        assert not joint.table.flags.writeable
+
+    @pytest.mark.parametrize("drop", ["x3", "yd"])
+    def test_must_keep_relay_inputs_and_yd(self, demo3, drop):
+        # {X2, Yh2, Y3} would read as a one-relay net whose Yd is Y3
+        keep = {"x3": {demo3.x(2), demo3.yhat(2), demo3.y(3)},
+                "yd": set(demo3.xs(demo3.relays))}[drop]
+        with pytest.raises(cf.IncompleteRestrictionError, match="drops"):
+            demo3.restrict(keep)
+
+    @pytest.mark.parametrize(
+        "foreign", [cf.Variable("x", 9, 2), cf.Variable("y", 2, 5)], ids=["node", "size"]
+    )
+    def test_foreign_variable(self, demo2, foreign):
+        with pytest.raises(cf.UnknownVariableError):
+            demo2.restrict(set(relay_axes(demo2)) | {foreign})
+
+    def test_floors_terms_match_full_joint(self):
+        # what `cflayers floors` reads for subset S: the joint of (X_R, Yh_R, Y_S, Yd)
+        for spec in mixed_specs():
+            full = cf.build_joint(spec)
+            base = set(relay_axes(full))
+            for s in cf.region.subsets_by_mask(full.relay_set):
+                joint = full.restrict(base | full.ys(s))
+                assert abs(cf.boundary_rhs(joint, s) - cf.boundary_rhs(full, s)) <= 1e-12
+                assert abs(cf.mi_gap(joint, s) - cf.mi_gap(full, s)) <= 1e-12
 
 
 class TestEntropy:

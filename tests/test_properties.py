@@ -148,6 +148,44 @@ def test_every_layered_cap_is_submodular(seed, n):
         assert_submodular(partial(cf.layered_rhs, joint, lay), joint.relay_set)
 
 
+def assert_union_of_minimizers_minimizes(cap, relays, rates):
+    """g(S) = cap(S) - R_S, g(empty) = 0: the union of every minimizer within 1e-12
+    is itself within 1e-11 of the minimum, as for any submodular g."""
+    g = {frozenset(): 0.0}
+    g.update((s, cap(s) - rates.subset_sum(s)) for s in subsets_by_mask(relays))
+    low = min(g.values())
+    union = frozenset().union(*(s for s, value in g.items() if value <= low + 1e-12))
+    assert g[union] <= low + 1e-11, (sorted(union), g[union] - low)
+
+
+def random_rates(joint, rng):
+    """Rates up to 1.5 singleton outer caps, so that some subsets often violate."""
+    caps = {i: cf.boundary_rhs(joint, {i}) for i in joint.relays}
+    return cf.RateVector({i: rng.uniform(0, 1.5 * caps[i]) for i in joint.relays})
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_outer_union_of_minimizers_minimizes(seed, n):
+    # the minimizers of a submodular function form a lattice: a theorem
+    rng = np.random.default_rng(seed)
+    joint = cf.build_relay_joint(random_spec(rng, n_relays=n))
+    cap = partial(cf.boundary_rhs, joint)
+    assert_union_of_minimizers_minimizes(cap, joint.relay_set, random_rates(joint, rng))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3))
+def test_every_layered_union_of_minimizers_minimizes(seed, n):
+    # observed on every case tried, not proven
+    rng = np.random.default_rng(seed)
+    joint = cf.build_relay_joint(random_spec(rng, n_relays=n))
+    rates = random_rates(joint, rng)
+    for lay in cf.enumerate_layerings(joint.relay_set):
+        cap = partial(cf.layered_rhs, joint, lay)
+        assert_union_of_minimizers_minimizes(cap, joint.relay_set, rates)
+
+
 @PROPERTY
 @given(data=st.data())
 def test_compaction_weakly_raises_every_cap(demo3, data):
