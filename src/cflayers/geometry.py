@@ -24,13 +24,7 @@ import numpy as np
 from .errors import DimensionTooHighError
 from .layering import Layering, enumerate_layerings
 from .probability import JointPmf
-from .region import (
-    boundary_rhs,
-    fmt12,
-    layered_rhs,
-    require_valid_layering,
-    subsets_by_mask,
-)
+from .region import fmt12, region_caps
 
 VERTEX_TOL = 1e-9
 MAX_VERTEX_DIM = 3
@@ -56,18 +50,12 @@ class HalfSpace:
 
 def h_rep(joint: JointPmf, layering: Layering) -> tuple[HalfSpace, ...]:
     """Half-spaces of one layering's region, in subset-bitmask order."""
-    require_valid_layering(joint, layering)
-    return tuple(
-        HalfSpace(s, layered_rhs(joint, layering, s))
-        for s in subsets_by_mask(joint.relay_set)
-    )
+    return tuple(HalfSpace(s, rhs) for s, rhs in region_caps(joint, layering))
 
 
 def outer_h_rep(joint: JointPmf) -> tuple[HalfSpace, ...]:
     """Half-spaces of the outer region, in subset-bitmask order."""
-    return tuple(
-        HalfSpace(s, boundary_rhs(joint, s)) for s in subsets_by_mask(joint.relay_set)
-    )
+    return tuple(HalfSpace(s, rhs) for s, rhs in region_caps(joint, None))
 
 
 def enumerate_vertices(halfspaces, relays) -> list[tuple[float, ...]]:

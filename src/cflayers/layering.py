@@ -14,6 +14,7 @@ by a constant delay offset, which is why stripping is not done implicitly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -77,14 +78,19 @@ def _node(tok: str, text: str) -> int:
 
 
 def parse_layering(text: str) -> Layering:
-    """Parse the `2,4|3` syntax (shallowest layer first, empty segments allowed)."""
+    """Parse the `2,4|3` syntax (shallowest layer first, empty segments allowed);
+    a node written twice in one layer raises, one in two layers is left to `validate_layering`."""
     layers = []
     for segment in text.split("|"):
         segment = segment.strip()
         if not segment:
             layers.append(frozenset())
             continue
-        layers.append(frozenset(_node(tok, text) for tok in segment.split(",")))
+        counts = Counter(_node(tok, text) for tok in segment.split(","))
+        repeated = [node for node, k in counts.items() if k > 1]
+        if repeated:
+            raise LayeringSyntaxError(f"layering {text!r} repeats node {repeated[0]} in one layer")
+        layers.append(frozenset(counts))
     return Layering(tuple(layers))
 
 

@@ -89,6 +89,8 @@ class RateVector:
         bad = [i for i, r in self._rates.items() if not 0.0 <= r < math.inf]
         if bad:
             raise InvalidRatesError(f"negative or non-finite rates for nodes {sorted(bad)}")
+        if self.subset_sum(relays) == math.inf:  # then no subset sum overflows either
+            raise InvalidRatesError("rates add up to inf; their total must be finite")
 
     def to_json_obj(self) -> dict:
         return {"rates": {str(i): self._rates[i] for i in sorted(self._rates)}}
@@ -136,6 +138,14 @@ def _stage(joint: JointPmf, upto_now, upto_before, now, before) -> float:
     )
 
 
+def require_valid_layering(joint: JointPmf, layering: Layering) -> None:
+    problems = validate_layering(layering, joint.relay_set)
+    if problems:
+        raise InvalidSubsetError(
+            "layering does not partition this joint's relays: " + "; ".join(problems)
+        )
+
+
 def h_term(joint: JointPmf, layering: Layering, s, l: int) -> float:
     """Stage-l conditional entropy of layering `layering` for subset `s`.
 
@@ -145,19 +155,18 @@ def h_term(joint: JointPmf, layering: Layering, s, l: int) -> float:
     relay input).  The pair and its condition together are exactly the
     prefixes up to layers l and l-1.
     """
+    require_valid_layering(joint, layering)
     now, before = active(layering, s, l), active(layering, s, l - 1)
     return _stage(joint, prefix_union(layering, l), prefix_union(layering, l - 1), now, before)
 
 
-def layered_rhs(joint: JointPmf, layering: Layering, s) -> float:
-    """Rate cap for subset `s` under the staged decode of `layering`: the pair
-    sum minus h_term(l) for l = 0..depth, in that order, in one walk down the layers."""
-    s = frozenset(s)
-    if not s:
-        raise EmptySubsetError("layered rate cap is defined for nonempty subsets")
-    before = active(layering, s, -1)  # empty; rejects nodes outside the layering
+def _cap(joint: JointPmf, layering: Layering | None, s: frozenset[int]) -> float:
+    """Outer cap of `s` when `layering` is None, else its staged cap: the pair sum
+    minus the stage of each layer l = 0..depth, in one walk down the layers."""
     total = joint.pair_entropy_sum(s)
-    upto: frozenset[int] = frozenset()
+    if layering is None:
+        return total - block_cond_entropy(joint, s, joint.relay_set - s)
+    upto = before = frozenset()
     for layer in layering.layers + (frozenset(),):
         upto_now, now = upto | layer, s & layer
         total -= _stage(joint, upto_now, upto, now, before)
@@ -165,13 +174,35 @@ def layered_rhs(joint: JointPmf, layering: Layering, s) -> float:
     return total
 
 
+def layered_rhs(joint: JointPmf, layering: Layering, s) -> float:
+    """Rate cap for subset `s` under the staged decode of `layering`: the pair
+    sum minus h_term(l) for l = 0..depth, in that order."""
+    require_valid_layering(joint, layering)
+    s = frozenset(s)
+    if not s:
+        raise EmptySubsetError("layered rate cap is defined for nonempty subsets")
+    active(layering, s, -1)  # rejects nodes outside the layering
+    return _cap(joint, layering, s)
+
+
 def boundary_rhs(joint: JointPmf, s) -> float:
     """Rate cap for subset `s` in the layering-free outer region."""
     s = frozenset(s)
     if not s:
         raise EmptySubsetError("outer rate cap is defined for nonempty subsets")
-    rest = joint.relay_set - s
-    return joint.pair_entropy_sum(s) - block_cond_entropy(joint, s, rest)
+    return _cap(joint, None, s)
+
+
+def region_caps(joint: JointPmf, layering: Layering | None):
+    """(subset, cap) for every nonempty relay subset, in bitmask order: the outer
+    region's caps when `layering` is None, else the staged caps of `layering`.
+
+    The layering is checked at once; each cap is computed only as the result
+    is iterated, so a caller can check the rest of its input first.
+    """
+    if layering is not None:
+        require_valid_layering(joint, layering)
+    return ((s, _cap(joint, layering, s)) for s in subsets_by_mask(joint.relay_set))
 
 
 # -- membership reports ----------------------------------------------------------
@@ -234,48 +265,31 @@ class ConstraintReport:
         }
 
 
-def _build_report(kind, joint, rates, rhs_of, epsilon) -> ConstraintReport:
+def _build_report(joint, layering, rates, epsilon) -> ConstraintReport:
+    caps = region_caps(joint, layering)
     rates.check_for(joint.relay_set)
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     entries = []
-    for s in subsets_by_mask(joint.relay_set):
-        rhs = rhs_of(s)
+    for s, rhs in caps:
         rate_sum = rates.subset_sum(s)
-        entries.append(
-            SubsetConstraint(
-                subset=s,
-                rhs=rhs,
-                rate_sum=rate_sum,
-                satisfied=(rhs - rate_sum) > epsilon,
-            )
-        )
+        entries.append(SubsetConstraint(s, rhs, rate_sum, satisfied=(rhs - rate_sum) > epsilon))
+    kind = "outer" if layering is None else "layered"
     return ConstraintReport(kind=kind, epsilon=epsilon, entries=tuple(entries))
-
-
-def require_valid_layering(joint: JointPmf, layering: Layering) -> None:
-    problems = validate_layering(layering, joint.relay_set)
-    if problems:
-        raise InvalidSubsetError(
-            "layering does not partition this joint's relays: " + "; ".join(problems)
-        )
 
 
 def check_layered(
     joint: JointPmf, layering: Layering, rates: RateVector, epsilon: float = DEFAULT_EPSILON
 ) -> ConstraintReport:
     """Membership report for the region of one layering."""
-    require_valid_layering(joint, layering)
-    return _build_report(
-        "layered", joint, rates, lambda s: layered_rhs(joint, layering, s), epsilon
-    )
+    return _build_report(joint, layering, rates, epsilon)
 
 
 def check_outer(
     joint: JointPmf, rates: RateVector, epsilon: float = DEFAULT_EPSILON
 ) -> ConstraintReport:
     """Membership report for the layering-free outer region."""
-    return _build_report("outer", joint, rates, lambda s: boundary_rhs(joint, s), epsilon)
+    return _build_report(joint, None, rates, epsilon)
 
 
 def pick_violator(report: ConstraintReport):
@@ -318,14 +332,10 @@ def source_rate(joint: JointPmf) -> float:
     )
 
 
-def mi_gap(joint: JointPmf, s, variant: str = "with_dest") -> float:
-    """Slack of the mutual-information form of subset `s`'s window condition.
-
-    Both variants share the left side I(Yh_s; Y_s | X_R Yh_G Yd).  The right
-    side either keeps the destination observation inside the information term
-    ("with_dest", the form matching the outer region) or conditions on it
-    ("given_dest"); the two differ by I(X_s; Yd | X_G) >= 0.
-    """
+def mi_gap(joint: JointPmf, s) -> float:
+    """Slack of the mutual-information form of subset `s`'s window condition:
+    I(X_s; Yh_G Yd | X_G) - I(Yh_s; Y_s | X_R Yh_G Yd), the form matching the
+    outer region."""
     s = frozenset(s)
     if not s:
         raise EmptySubsetError("the window condition is defined for nonempty subsets")
@@ -335,16 +345,7 @@ def mi_gap(joint: JointPmf, s, variant: str = "with_dest") -> float:
         joint.ys(s),
         joint.xs(joint.relay_set) | joint.yhats(rest) | {joint.yd},
     )
-    if variant == "with_dest":
-        rhs = joint.mutual_info(
-            joint.xs(s), joint.yhats(rest) | {joint.yd}, joint.xs(rest)
-        )
-    elif variant == "given_dest":
-        rhs = joint.mutual_info(
-            joint.xs(s), joint.yhats(rest), joint.xs(rest) | {joint.yd}
-        )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    rhs = joint.mutual_info(joint.xs(s), joint.yhats(rest) | {joint.yd}, joint.xs(rest))
     return rhs - lhs
 
 
@@ -352,7 +353,7 @@ def window_gap_forms(joint: JointPmf, s) -> tuple[float, ...]:
     """Nine rewritings of boundary_rhs(s) minus the floor sum of s.
 
     The first form subtracts the floors from the outer rate cap directly; the
-    last is the pure mutual-information form of `mi_gap(..., "with_dest")`.
+    last is the pure mutual-information form of `mi_gap`.
     The rewriting steps are either entropy identities or uses of the factored
     structure (inputs mutually independent, each compression depending only on
     its own input and observation), so all nine agree for any joint built by
@@ -392,5 +393,5 @@ def window_gap_forms(joint: JointPmf, s) -> tuple[float, ...]:
         hc(yhs(s), xs(joint.relay_set) | yhs(rest) | {yd})
         - hc(yhs(s), xs(joint.relay_set) | ys(s) | yhs(rest) | {yd})
     )
-    g9 = mi_gap(joint, s, "with_dest")
+    g9 = mi_gap(joint, s)
     return (g1, g2, g3, g4, g5, g6, g7, g8, g9)

@@ -108,6 +108,14 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == f"error: layering {text!r} has a bad node {token!r}\n"
 
+    def test_node_repeated_in_one_layer(self, demo2_file, tmp_path, capsys):
+        rates = write_rates(tmp_path, {2: 0.0, 3: 0.0})
+        code = main(["check", "--channel", demo2_file, "--rates", rates, "--layering", "2,2|3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: layering '2,2|3' repeats node 2 in one layer\n"
+
     def test_malformed_rates_exit_two(self, demo2_file, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"rates": {"2": 0.1,')
@@ -160,6 +168,15 @@ class TestBadNumbers:
         assert main([command, "--channel", demo2_file, "--rates", rates]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "non-finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_rates_without_finite_total(self, demo2_file, tmp_path, capsys, command):
+        # each rate is finite, but their sum is inf, which JSON cannot print
+        rates = write_rates(tmp_path, {2: 1e308, 3: 1e308})
+        code = main([command, "--channel", demo2_file, "--rates", rates, "--format", "json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_nan_epsilon(self, demo2_file, tmp_path, capsys, command):

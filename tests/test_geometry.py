@@ -7,6 +7,7 @@ import cflayers as cf
 from cflayers.geometry import HalfSpace, enumerate_vertices
 from cflayers.region import subsets_by_mask
 
+from conftest import random_spec
 from test_probability import unit_spec
 
 
@@ -37,12 +38,31 @@ class TestHRep:
         for h in cf.h_rep(joint, cf.make_layering([{2}])):
             assert h.rhs == pytest.approx(0.0, abs=1e-12)
 
-    def test_values_match_rate_caps(self, demo2):
-        lay = cf.parse_layering("2|3")
-        for h in cf.h_rep(demo2, lay):
-            assert h.rhs == pytest.approx(cf.layered_rhs(demo2, lay, h.subset), abs=1e-12)
-        for h in cf.outer_h_rep(demo2):
-            assert h.rhs == pytest.approx(cf.boundary_rhs(demo2, h.subset), abs=1e-12)
+    def test_values_match_rate_caps(self):
+        # every path to a cap takes the same entropies in the same order,
+        # so the numbers agree bit for bit, not just within a tolerance
+        rng = np.random.default_rng(40)
+        specs = [
+            spec
+            for n_relays in (2, 3, 4)
+            for spec in (cf.demo_spec(n_relays, 7), random_spec(rng, n_relays, max_size=3))
+        ]
+        for joint in map(cf.build_relay_joint, specs):
+            zero = cf.RateVector({i: 0.0 for i in joint.relays})
+            subsets = list(subsets_by_mask(joint.relay_set))
+            for lay in cf.enumerate_layerings(joint.relay_set):
+                hs = cf.h_rep(joint, lay)
+                entries = cf.check_layered(joint, lay, zero).entries
+                assert [h.subset for h in hs] == [e.subset for e in entries] == subsets
+                assert [h.rhs for h in hs] == [e.rhs for e in entries] == [
+                    cf.layered_rhs(joint, lay, s) for s in subsets
+                ]
+            hs = cf.outer_h_rep(joint)
+            entries = cf.check_outer(joint, zero).entries
+            assert [h.subset for h in hs] == [e.subset for e in entries] == subsets
+            assert [h.rhs for h in hs] == [e.rhs for e in entries] == [
+                cf.boundary_rhs(joint, s) for s in subsets
+            ]
 
 
 class TestVertices:

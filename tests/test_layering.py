@@ -212,6 +212,12 @@ class TestText:
         assert str(info.value) == f"layering {text!r} has a bad node {token!r}"
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("text, node", [("2,2|3", 2), ("2|3, 3 ", 3), ("4,2,4,2", 4)])
+    def test_node_repeated_in_one_layer(self, text, node):
+        with pytest.raises(LayeringSyntaxError) as info:
+            parse_layering(text)
+        assert str(info.value) == f"layering {text!r} repeats node {node} in one layer"
+
     def test_interior_empty(self):
         lay = parse_layering("2||3")
         assert lay.layers == (frozenset({2}), frozenset(), frozenset({3}))

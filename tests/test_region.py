@@ -19,8 +19,7 @@ BOUNDARY_S2 = 0.023359585435827057
 SOURCE_RATE = 0.009889043840777507
 FLOOR_2 = 0.0324502528767277
 FLOOR_3 = 0.011192202946583619
-MI_GAP_S2_WITH_DEST = -0.009090667440902027
-MI_GAP_S2_GIVEN_DEST = -0.03158893081584819
+MI_GAP_S2 = -0.009090667440902027
 WINDOW_S23 = -0.012758565184144244
 MIN_LAYERED_SINGLE = 0.01293434025689233  # min subset cap of the one-layer layering
 
@@ -76,6 +75,18 @@ class TestRateVector:
     def test_non_finite_rejected(self, demo2, bad):
         with pytest.raises(cf.InvalidRatesError):
             cf.check_outer(demo2, cf.RateVector({2: bad, 3: 0.0}))
+
+    def test_total_must_be_finite(self, demo2, no_entropy):
+        rates = cf.RateVector({2: 1e308, 3: 1e308})
+        with pytest.raises(cf.InvalidRatesError, match="finite"):
+            cf.check_outer(demo2, rates)
+        with pytest.raises(cf.InvalidRatesError, match="finite"):
+            cf.check_layered(demo2, parse_layering("2|3"), rates)
+
+    def test_largest_finite_total_accepted(self, demo2):
+        report = cf.check_outer(demo2, cf.RateVector({2: 1e308, 3: 7e307}))
+        assert report.entry({2, 3}).rate_sum == 1e308 + 7e307
+        assert not report.is_member
 
     @pytest.mark.parametrize("bad", [True, False, "0.001", None, 10**400])
     def test_non_number_rejected(self, bad):
@@ -146,6 +157,11 @@ class TestHTerm:
         with pytest.raises(cf.IndexOutOfRangeError):
             cf.h_term(demo2, parse_layering("2|3"), {2}, 3)
 
+    @pytest.mark.parametrize("text", ["2", "2|2,3"])
+    def test_layering_must_partition_relays(self, demo2, text, no_entropy):
+        with pytest.raises(cf.InvalidSubsetError, match="partition"):
+            cf.h_term(demo2, parse_layering(text), {2}, 0)
+
 
 class TestLayeredRhs:
     def test_deterministic_channel_is_zero(self, deterministic_joint):
@@ -180,6 +196,12 @@ class TestLayeredRhs:
     def test_subset_outside_layering(self, demo2):
         with pytest.raises(cf.InvalidSubsetError):
             cf.layered_rhs(demo2, make_layering([{2}]), {3})
+
+    @pytest.mark.parametrize("text", ["2", "2|2,3"])
+    def test_layering_must_partition_relays(self, demo2, text, no_entropy):
+        # on this joint, "2" leaves relay 3 out and "2|2,3" places relay 2 twice
+        with pytest.raises(cf.InvalidSubsetError, match="partition"):
+            cf.layered_rhs(demo2, parse_layering(text), {2})
 
     def test_is_pair_sum_minus_h_chain_exactly(self):
         # the one-walk loop subtracts the same stages in the same order
@@ -273,6 +295,18 @@ class TestMembership:
                 outer = cf.check_outer(joint, rates)
                 layered = cf.check_layered(joint, lay, rates)
                 assert outer.is_member == layered.is_member
+
+    def test_errors_in_order_before_any_entropy(self, demo2, no_entropy):
+        # layering first, then rates, then epsilon; no entropy until all pass
+        bad_rates = cf.RateVector({2: -1.0, 3: 0.0})
+        with pytest.raises(cf.InvalidSubsetError):
+            cf.check_layered(demo2, parse_layering("2"), bad_rates)
+        with pytest.raises(cf.InvalidRatesError):
+            cf.check_layered(demo2, parse_layering("2|3"), bad_rates, float("nan"))
+        with pytest.raises(cf.InvalidRatesError):
+            cf.check_outer(demo2, bad_rates, float("nan"))
+        with pytest.raises(ValueError, match="epsilon"):
+            cf.check_layered(demo2, parse_layering("2|3"), zero_rates(demo2), float("nan"))
 
     def test_partial_layering_rejected(self, demo2):
         with pytest.raises(cf.InvalidSubsetError):
@@ -391,28 +425,10 @@ class TestFloorsAndSourceRate:
 
 class TestWindowIdentities:
     def test_independent_constant_gaps_zero(self, independent_joint):
-        assert cf.mi_gap(independent_joint, {2}, "with_dest") == pytest.approx(0.0, abs=1e-9)
-        assert cf.mi_gap(independent_joint, {2}, "given_dest") == pytest.approx(0.0, abs=1e-9)
+        assert cf.mi_gap(independent_joint, {2}) == pytest.approx(0.0, abs=1e-9)
 
     def test_demo_gaps_frozen(self, demo2):
-        assert cf.mi_gap(demo2, {2}, "with_dest") == pytest.approx(
-            MI_GAP_S2_WITH_DEST, abs=1e-9
-        )
-        assert cf.mi_gap(demo2, {2}, "given_dest") == pytest.approx(
-            MI_GAP_S2_GIVEN_DEST, abs=1e-9
-        )
-
-    def test_variant_difference_is_dest_information(self, demo2, demo3):
-        for joint in (demo2, demo3):
-            for s in subsets_by_mask(joint.relay_set):
-                diff = cf.mi_gap(joint, s, "with_dest") - cf.mi_gap(joint, s, "given_dest")
-                rest = joint.relay_set - s
-                want = joint.mutual_info(joint.xs(s), {joint.yd}, joint.xs(rest))
-                assert diff == pytest.approx(want, abs=1e-9)
-
-    def test_unknown_variant(self, demo2):
-        with pytest.raises(ValueError):
-            cf.mi_gap(demo2, {2}, "sideways")
+        assert cf.mi_gap(demo2, {2}) == pytest.approx(MI_GAP_S2, abs=1e-9)
 
     def test_deterministic_all_zero(self, deterministic_joint):
         gaps = cf.window_gap_forms(deterministic_joint, {2})
