@@ -147,32 +147,47 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+def _subset_joints(joint, s: frozenset, below: float = float("inf")):
+    """Yield (S, joint of (X_R, Yh_R, Y_S, Yd)) for S = `s` and for every
+    nonempty S got by dropping from `s` nodes below `below`, depth first.
+
+    `joint` is the joint for `s`.  Each child is restricted from its parent
+    after the parent was yielded, so it sums the parent's table, one Y axis
+    larger, and keeps every entropy the caller computed on it.  Nodes are
+    dropped in decreasing order, so each S is reached once and at most one
+    table per depth is alive.
+    """
+    yield s, joint
+    if len(s) > 1:
+        for i in sorted((i for i in s if i < below), reverse=True):
+            child = joint.restrict(v for v in joint.variables if v != joint.y(i))
+            yield from _subset_joints(child, s - {i}, i)
+
+
 def cmd_floors(args) -> int:
     full = build_joint(load_spec(args.channel))
-    # no floor or window term reads X1, and subset S's terms read only
-    # (X_R, Yh_R, Y_S, Yd): sum the full table once, then once per subset
+    # no floor, cap or window term reads X1: sum the full table only once
     joint = full.restrict(v for v in full.variables if v != full.x1)
     del full  # the largest table; nothing reads it again
     relays = joint.relay_set
-    kept = joint.xs(relays) | joint.yhats(relays) | {joint.yd}
     floors = region.compression_floor(joint)
+    relay = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
+    gaps = {s: region.mi_gap(sub, s) for s, sub in _subset_joints(joint, relays)}
     entries = []
     consistent = True
-    for s in region.subsets_by_mask(relays):
-        sub = joint.restrict(kept | joint.ys(s))
-        cap = region.boundary_rhs(sub, s)
-        window = cap - region.floor_sum(floors, s)
-        mi_form = region.mi_gap(sub, s)
-        ok = abs(window - mi_form) <= 1e-9
+    for s, cap in region.region_caps(relay, None):
+        floor_sum = region.floor_sum(floors, s)
+        window = cap - floor_sum
+        ok = abs(window - gaps[s]) <= 1e-9
         consistent &= ok
         entries.append(
             {
                 "subset": sorted(s),
-                "floor_sum": fmt12(region.floor_sum(floors, s)),
+                "floor_sum": fmt12(floor_sum),
                 "boundary_rhs": fmt12(cap),
                 "window": fmt12(window),
                 "window_nonempty": window > 0.0,
-                "mi_gap": fmt12(mi_form),
+                "mi_gap": fmt12(gaps[s]),
                 "consistent": ok,
             }
         )

@@ -296,9 +296,11 @@ class JointPmf:
     concurrent reads are safe (worst case a value is computed twice).
 
     `restrict(variables)` sums the table once down to `variables` and returns
-    their joint, in canonical order with a memo of its own, so a batch of
-    queries that reads only those axes sums a smaller table.  The relays and
-    Yd are read off the kept axes, so every relay input and Yd must be kept.
+    their joint, in canonical order, so a batch of queries that reads only
+    those axes sums a smaller table.  The child's memo starts with every
+    entropy the parent had already computed over kept variables, remapped to
+    the child's axes, and grows on its own from there.  The relays and Yd are
+    read off the kept axes, so every relay input and Yd must be kept.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
@@ -402,17 +404,27 @@ class JointPmf:
         return self._sum_to(self._mask(variables))
 
     def restrict(self, variables) -> JointPmf:
-        """The joint of `variables` alone; raises IncompleteRestrictionError
-        unless they include every relay input and Yd."""
+        """The joint of `variables` alone, knowing the entropies over them that
+        this joint has computed; raises IncompleteRestrictionError unless they
+        include every relay input and Yd."""
         mask = self._mask(variables)
-        kept = tuple(v for i, v in enumerate(self._variables) if (mask >> i) & 1)
+        axes = [i for i in range(self._table.ndim) if (mask >> i) & 1]
+        kept = tuple(self._variables[i] for i in axes)
         needed = [self.x(i) for i in self._relays] + [self.yd]
         dropped = [v.label for v in needed if v not in kept]
         if dropped:
             raise IncompleteRestrictionError(
                 f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
             )
-        return JointPmf(kept, self.marginal(kept))
+        child = JointPmf(kept, self.marginal(kept))
+        # the same distribution: every entropy the parent knows over kept axes
+        # holds for the child too; copy() is atomic, so concurrent reads stay safe
+        child._cache.update(
+            (sum(1 << j for j, a in enumerate(axes) if (m >> a) & 1), h)
+            for m, h in self._cache.copy().items()
+            if not m & ~mask
+        )
+        return child
 
     def entropy(self, variables) -> float:
         """Joint Shannon entropy H(variables) in bits; H(empty) = 0."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import EmptySubsetError, InvalidRatesError, InvalidSubsetError
@@ -64,8 +65,12 @@ class RateVector:
     """Per-relay compression rates in bits, finite and nonnegative."""
 
     def __init__(self, rates):
+        if not isinstance(rates, Mapping):  # a list of pairs could repeat a node
+            raise InvalidRatesError(
+                f"rates must map relay nodes to numbers, got {type(rates).__name__}"
+            )
         try:
-            pairs = [(_as_node(k), _as_rate(v)) for k, v in dict(rates).items()]
+            pairs = [(_as_node(k), _as_rate(v)) for k, v in rates.items()]
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidRatesError(f"rates must map relay nodes to numbers: {exc}") from exc
         self._rates = _distinct(pairs)

@@ -9,7 +9,7 @@ from cflayers.cli import main
 
 from conftest import thin_spec
 from test_layering import BAD_LAYERING_TOKENS
-from test_probability import NON_NUMBER_SPEC_EDITS, nudged_spec_obj
+from test_probability import NON_NUMBER_SPEC_EDITS, mixed_specs, nudged_spec_obj
 from test_region import MISTYPED_RATE_FILES
 from test_solver import TWO_SHIFT_RATES
 
@@ -399,6 +399,34 @@ class TestFloors:
         full_size = cf.build_joint(cf.demo_spec(3, 3)).table.size
         assert main(["floors", "--channel", demo3_file, "--format", fmt]) == 0
         assert summed_sizes.count(full_size) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_matches_library(self, tmp_path, capsys):
+        def close(got, want):  # printed at 12 digits, and summed from other tables
+            return abs(got - want) <= max(1e-12, 1e-11 * abs(want))
+
+        for k, spec in enumerate(mixed_specs()):
+            path = tmp_path / f"mixed{k}.json"
+            spec.save(path)
+            assert main(["floors", "--channel", str(path), "--format", "json"]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            full = cf.build_joint(spec)
+            floors = cf.compression_floor(full)
+            assert obj["floors"].keys() == {str(i) for i in floors}
+            assert all(close(obj["floors"][str(i)], f) for i, f in floors.items())
+            caps = list(cf.region.region_caps(cf.build_relay_joint(spec), None))
+            assert [e["subset"] for e in obj["subsets"]] == [sorted(s) for s, _ in caps]
+            for e, (s, cap) in zip(obj["subsets"], caps):
+                assert close(e["boundary_rhs"], cap)
+                assert close(e["mi_gap"], cf.mi_gap(full, s))
+                assert close(e["floor_sum"], cf.region.floor_sum(floors, s))
+
+    def test_caps_from_region_caps(self, demo3_file, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("boundary_rhs was called")
+
+        monkeypatch.setattr(cf.region, "boundary_rhs", refuse)
+        assert main(["floors", "--channel", demo3_file]) == 0
         assert capsys.readouterr().err == ""
 
     def test_constant_compression_floors_zero(self, tmp_path, capsys):

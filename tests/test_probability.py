@@ -331,8 +331,9 @@ class TestRestrict:
         rng = np.random.default_rng(83)
         for n in (2, 2, 3, 3):
             full = cf.build_joint(random_spec(rng, n_relays=n))
-            for keep in kept_sets(full, rng, 3):
-                joint = full.restrict(keep)
+            # restricted from a cold parent, so each child sums its own tables
+            joints = [full.restrict(keep) for keep in kept_sets(full, rng, 3)]
+            for joint in joints:
                 yhat_nodes = [v.node for v in joint.variables if v.kind == "yhat"]
                 for a in powerset(full.relays):
                     for b in powerset(yhat_nodes):
@@ -341,6 +342,21 @@ class TestRestrict:
                 for u in joint.variables:
                     for v in joint.variables:
                         assert abs(joint.entropy({u, v}) - full.entropy({u, v})) <= 1e-12
+
+    def test_keeps_parent_entropies(self, summed_sizes):
+        full = cf.build_joint(cf.demo_spec(3, 7))
+        pairs = [(a, b) for a in powerset(full.relays) for b in powerset(full.relays)]
+        known = {(a, b): full.relay_entropy(a, b) for a, b in pairs}
+        known["x2y2"] = full.entropy({full.x(2), full.y(2)})
+        joint = full.restrict({full.x(2), full.y(2)} | set(relay_axes(full)))  # drops X1 and Y3
+        summed_sizes.clear()
+        got = {(a, b): joint.relay_entropy(a, b) for a, b in pairs}
+        got["x2y2"] = joint.entropy({joint.x(2), joint.y(2)})
+        assert got == known and summed_sizes == []
+        # a set the parent never answered is summed from the child's own table
+        h = joint.entropy({joint.x(2)})
+        assert summed_sizes == [joint.table.size]
+        assert abs(h - full.entropy({full.x(2)})) <= 1e-12
 
     def test_canonical_order_and_table(self, demo3):
         keep = [demo3.yd, demo3.y(3), *demo3.xs(demo3.relays), demo3.x1]
@@ -370,8 +386,12 @@ class TestRestrict:
         for spec in mixed_specs():
             full = cf.build_joint(spec)
             base = set(relay_axes(full))
-            for s in cf.region.subsets_by_mask(full.relay_set):
-                joint = full.restrict(base | full.ys(s))
+            # restricted from a cold parent, so each child sums its own tables
+            joints = {
+                s: full.restrict(base | full.ys(s))
+                for s in cf.region.subsets_by_mask(full.relay_set)
+            }
+            for s, joint in joints.items():
                 assert abs(cf.boundary_rhs(joint, s) - cf.boundary_rhs(full, s)) <= 1e-12
                 assert abs(cf.mi_gap(joint, s) - cf.mi_gap(full, s)) <= 1e-12
 

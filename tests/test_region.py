@@ -39,6 +39,9 @@ MISTYPED_RATE_FILES = [
     '{"rates": {"2": 0.001, " +3 ": 0.001}}',
     '{"rates": {"2": 0.001, "\\u0663": 0.001}}',
     '{"rates": {"2": 0.001, "2": 9.0, "3": 0.001}}',
+    # "rates" is a map; a list of pairs could repeat a node, too
+    '{"rates": [["2", 0.001], ["2", 9], ["3", 0.001]]}',
+    '{"rates": [["2", 0.001], ["3", 0.001]]}',
 ]
 
 
@@ -99,6 +102,11 @@ class TestRateVector:
     def test_aliasing_key_rejected(self, rates):
         with pytest.raises(cf.InvalidRatesError, match="relay node|name relay 2"):
             cf.RateVector(rates)
+
+    @pytest.mark.parametrize("pairs", [[(2, 0.1), (2, 9.0), (3, 0.1)], [(2, 0.1), (3, 0.1)]])
+    def test_list_of_pairs_rejected(self, pairs):
+        with pytest.raises(cf.InvalidRatesError, match="map relay nodes"):
+            cf.RateVector(pairs)
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-9])
     def test_bad_epsilon_rejected(self, demo2, epsilon):
