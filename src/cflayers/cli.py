@@ -153,8 +153,8 @@ def _subset_joints(joint, s: frozenset, below: float = float("inf")):
 
     `joint` is the joint for `s`.  Each child is restricted from its parent
     after the parent was yielded, so it sums the parent's table, one Y axis
-    larger, and keeps every entropy the caller computed on it.  Nodes are
-    dropped in decreasing order, so each S is reached once and at most one
+    larger; all of them share one memo, so no entropy is summed twice.  Nodes
+    are dropped in decreasing order, so each S is reached once and at most one
     table per depth is alive.
     """
     yield s, joint
@@ -170,12 +170,14 @@ def cmd_floors(args) -> int:
     joint = full.restrict(v for v in full.variables if v != full.x1)
     del full  # the largest table; nothing reads it again
     relays = joint.relay_set
-    floors = region.compression_floor(joint)
     relay = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
+    # caps first: the floors and the subset walk find their terms in the shared memo
+    caps = list(region.region_caps(relay, None))
+    floors = region.compression_floor(joint)
     gaps = {s: region.mi_gap(sub, s) for s, sub in _subset_joints(joint, relays)}
     entries = []
     consistent = True
-    for s, cap in region.region_caps(relay, None):
+    for s, cap in caps:
         floor_sum = region.floor_sum(floors, s)
         window = cap - floor_sum
         ok = abs(window - gaps[s]) <= 1e-9
@@ -276,7 +278,7 @@ def main(argv=None) -> int:
         print(f"error: parse failure at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return EXIT_INPUT
-    except (CFLayersError, OSError, ValueError, KeyError) as exc:
+    except (CFLayersError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -14,7 +14,7 @@ destination input x_d never enter any computed quantity and are marginalized
 away at construction.
 
 All entropies are in bits.  Queries are pure and cached per variable set, so
-a `JointPmf` can be shared freely across threads once built.
+a `JointPmf` and its restrictions can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -292,18 +292,20 @@ class JointPmf:
 
     Axes follow that canonical order with the last index fastest; one
     (kind, node) -> axis map is the only layout lookup.  Entropy queries
-    marginalize the table and are memoized by the bitmask of kept axes;
-    concurrent reads are safe (worst case a value is computed twice).
+    marginalize the table and are memoized by a mask with one bit per variable
+    of the root joint (the one built, not restricted).  Concurrent reads are
+    safe: a value may be computed twice, but the first one stored is returned.
 
     `restrict(variables)` sums the table once down to `variables` and returns
     their joint, in canonical order, so a batch of queries that reads only
-    those axes sums a smaller table.  The child's memo starts with every
-    entropy the parent had already computed over kept variables, remapped to
-    the child's axes, and grows on its own from there.  The relays and Yd are
-    read off the kept axes, so every relay input and Yd must be kept.
+    those axes sums a smaller table.  The child, the same distribution, shares
+    its parent's memo, so an entropy computed on any restriction of one root
+    answers the root and all its restrictions.  The relays and Yd are read off
+    the kept axes, so every relay input and Yd must be kept.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
+        variables = tuple(variables)
         table = np.asarray(table, dtype=float)
         if table.shape != tuple(v.size for v in variables):
             raise InvalidSpecError("joint table shape does not match its variables")
@@ -319,8 +321,9 @@ class JointPmf:
         table = table.copy()
         table.setflags(write=False)
         self._table = table
-        self._variables = tuple(variables)
-        self._axis = {(v.kind, v.node): i for i, v in enumerate(self._variables)}
+        self._variables = variables
+        self._axis = {(v.kind, v.node): i for i, v in enumerate(variables)}
+        self._bits = tuple(1 << i for i in range(len(variables)))  # memo-key bit per axis
         self._cache: dict[int, float] = {}
 
     # -- structure ----------------------------------------------------------
@@ -383,11 +386,11 @@ class JointPmf:
             axis = self._axis.get((v.kind, v.node))
             if axis is None or self._variables[axis].size != v.size:
                 raise UnknownVariableError(f"{v!r} does not belong to this joint")
-            mask |= 1 << axis
+            mask |= self._bits[axis]
         return mask
 
     def _sum_to(self, mask: int) -> np.ndarray:
-        drop = tuple(i for i in range(self._table.ndim) if not (mask >> i) & 1)
+        drop = tuple(i for i, bit in enumerate(self._bits) if not mask & bit)
         return self._table.sum(axis=drop)
 
     def _entropy(self, mask: int, variables=None) -> float:
@@ -396,7 +399,7 @@ class JointPmf:
         if cached is None:
             marg = (self._sum_to(mask) if variables is None else self.marginal(variables)).ravel()
             probs = marg[marg > ZERO_MASS]
-            cached = self._cache[mask] = float(max(-np.sum(probs * np.log2(probs)), 0.0))
+            cached = self._cache.setdefault(mask, max(0.0, float(-np.sum(probs * np.log2(probs)))))
         return cached
 
     def marginal(self, variables) -> np.ndarray:
@@ -404,11 +407,10 @@ class JointPmf:
         return self._sum_to(self._mask(variables))
 
     def restrict(self, variables) -> JointPmf:
-        """The joint of `variables` alone, knowing the entropies over them that
-        this joint has computed; raises IncompleteRestrictionError unless they
-        include every relay input and Yd."""
+        """The joint of `variables` alone, sharing this joint's memo; raises
+        IncompleteRestrictionError unless they include every relay input and Yd."""
         mask = self._mask(variables)
-        axes = [i for i in range(self._table.ndim) if (mask >> i) & 1]
+        axes = [i for i, bit in enumerate(self._bits) if mask & bit]
         kept = tuple(self._variables[i] for i in axes)
         needed = [self.x(i) for i in self._relays] + [self.yd]
         dropped = [v.label for v in needed if v not in kept]
@@ -417,34 +419,30 @@ class JointPmf:
                 f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
             )
         child = JointPmf(kept, self.marginal(kept))
-        # the same distribution: every entropy the parent knows over kept axes
-        # holds for the child too; copy() is atomic, so concurrent reads stay safe
-        child._cache.update(
-            (sum(1 << j for j, a in enumerate(axes) if (m >> a) & 1), h)
-            for m, h in self._cache.copy().items()
-            if not m & ~mask
-        )
+        # the same distribution, so one memo in one key space answers both
+        child._bits, child._cache = tuple(self._bits[i] for i in axes), self._cache
         return child
 
     def entropy(self, variables) -> float:
         """Joint Shannon entropy H(variables) in bits; H(empty) = 0."""
+        variables = tuple(variables)  # read once: `_mask` would use up an iterator
         return self._entropy(self._mask(variables), variables)
 
     def relay_entropy(self, a, b) -> float:
         """H(X_a, Yh_b, Yd) in bits for relay node sets `a` and `b`.
 
         Every rate cap is a difference of these terms.  Shares the memo of
-        `entropy`, keyed by the same axis mask.
+        `entropy`, keyed by the same mask.
         """
-        axis = self._axis
+        axis, bits = self._axis, self._bits
         try:
             if 1 in a:  # X1 has an axis but is no relay input
                 raise KeyError(("x", 1))
-            mask = 1 << axis["y", self.d]
+            mask = bits[axis["y", self.d]]
             for i in a:
-                mask |= 1 << axis["x", i]
+                mask |= bits[axis["x", i]]
             for i in b:
-                mask |= 1 << axis["yhat", i]
+                mask |= bits[axis["yhat", i]]
         except KeyError as exc:
             raise UnknownVariableError("no relay variable {}{} in this joint".format(
                 *exc.args[0])) from None

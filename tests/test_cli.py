@@ -401,6 +401,19 @@ class TestFloors:
         assert summed_sizes.count(full_size) == 1
         assert capsys.readouterr().err == ""
 
+    def test_no_memo_key_summed_twice(self, demo3_file, monkeypatch, capsys):
+        missed = []
+        entropy = cf.JointPmf._entropy
+
+        def counted(self, mask, variables=None):
+            if mask not in self._cache:
+                missed.append(mask)
+            return entropy(self, mask, variables)
+
+        monkeypatch.setattr(cf.JointPmf, "_entropy", counted)
+        assert main(["floors", "--channel", demo3_file]) == 0
+        assert missed and len(missed) == len(set(missed))
+
     def test_matches_library(self, tmp_path, capsys):
         def close(got, want):  # printed at 12 digits, and summed from other tables
             return abs(got - want) <= max(1e-12, 1e-11 * abs(want))
@@ -450,6 +463,14 @@ class TestFloors:
 
 
 class TestUsage:
+    def test_key_error_is_a_bug(self, monkeypatch):
+        def broken(relays, seed):
+            raise KeyError("x")
+
+        monkeypatch.setattr("cflayers.cli.demo_spec", broken)
+        with pytest.raises(KeyError):
+            main(["demo", "--relays", "2", "--seed", "7"])
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -1,6 +1,8 @@
 """Channel spec validation, joint construction, and the entropy engine."""
 
 import json
+import math
+import sys
 from functools import partial
 from itertools import combinations
 
@@ -209,6 +211,10 @@ class TestValidateSpec:
         with pytest.raises(cf.InvalidSpecError):
             cf.build_joint(spec)
 
+    def test_joint_reads_variables_once(self, demo2):
+        joint = cf.JointPmf((v for v in demo2.variables), demo2.table)
+        assert joint.variables == demo2.variables and joint.d == demo2.d
+
     def test_joint_with_nan_mass_rejected(self, demo2):
         table = demo2.table.copy()
         table.flat[0] = np.nan
@@ -330,9 +336,10 @@ class TestRestrict:
     def test_queries_match_parent(self):
         rng = np.random.default_rng(83)
         for n in (2, 2, 3, 3):
-            full = cf.build_joint(random_spec(rng, n_relays=n))
-            # restricted from a cold parent, so each child sums its own tables
-            joints = [full.restrict(keep) for keep in kept_sets(full, rng, 3)]
+            spec = random_spec(rng, n_relays=n)
+            full = cf.build_joint(spec)  # shares no memo with the children below
+            # each restricted from its own cold parent, so each sums its own tables
+            joints = [cf.build_joint(spec).restrict(keep) for keep in kept_sets(full, rng, 3)]
             for joint in joints:
                 yhat_nodes = [v.node for v in joint.variables if v.kind == "yhat"]
                 for a in powerset(full.relays):
@@ -357,6 +364,22 @@ class TestRestrict:
         h = joint.entropy({joint.x(2)})
         assert summed_sizes == [joint.table.size]
         assert abs(h - full.entropy({full.x(2)})) <= 1e-12
+
+    def test_parent_and_sibling_share_the_memo(self, summed_sizes):
+        full = cf.build_joint(cf.demo_spec(3, 7))
+        base = set(relay_axes(full))
+        left, right = full.restrict(base | {full.y(2)}), full.restrict(base | {full.y(3)})
+        grandchild = left.restrict(base)
+        assert left._cache is full._cache and grandchild._cache is full._cache
+        pairs = [(a, b) for a in powerset(full.relays) for b in powerset(full.relays)]
+        known = {(a, b): grandchild.relay_entropy(a, b) for a, b in pairs}
+        known["x2yh3"] = left.entropy({left.x(2), left.yhat(3)})
+        summed_sizes.clear()
+        for joint in (full, left, right):
+            got = {(a, b): joint.relay_entropy(a, b) for a, b in pairs}
+            got["x2yh3"] = joint.entropy({joint.x(2), joint.yhat(3)})
+            assert got == known
+        assert summed_sizes == []
 
     def test_canonical_order_and_table(self, demo3):
         keep = [demo3.yd, demo3.y(3), *demo3.xs(demo3.relays), demo3.x1]
@@ -386,9 +409,10 @@ class TestRestrict:
         for spec in mixed_specs():
             full = cf.build_joint(spec)
             base = set(relay_axes(full))
-            # restricted from a cold parent, so each child sums its own tables
+            # each restricted from its own cold parent, so each sums its own tables;
+            # `full` is built apart and shares no memo with them
             joints = {
-                s: full.restrict(base | full.ys(s))
+                s: cf.build_joint(spec).restrict(base | full.ys(s))
                 for s in cf.region.subsets_by_mask(full.relay_set)
             }
             for s, joint in joints.items():
@@ -404,6 +428,17 @@ class TestEntropy:
     def test_deterministic_variable(self):
         joint = cf.build_joint(unit_spec())
         assert joint.entropy({joint.x1}) == pytest.approx(0.0, abs=1e-12)
+
+    def test_iterator_read_once(self):
+        joint = cf.build_joint(cf.demo_spec(2, 7))  # cold: the query below sums
+        pair = [joint.x(2), joint.yhat(2)]
+        h = joint.entropy(v for v in pair)
+        assert h == pytest.approx(1.6121, abs=1e-4)
+        assert joint.entropy(pair) == h
+
+    def test_point_mass_is_plus_zero(self):
+        joint = cf.build_joint(thin_spec(2))  # one-letter Y2
+        assert math.copysign(1.0, joint.entropy({joint.y(2)})) == 1.0
 
     def test_empty_set(self, demo2):
         assert demo2.entropy(frozenset()) == 0.0
@@ -571,6 +606,29 @@ class TestConcurrency:
             results = list(pool.map(lambda s: fresh.entropy(s), sets * 50))
         for i, got in enumerate(results):
             assert got == expected[i % len(sets)]
+
+    def test_restrictions_return_one_value(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        full = cf.build_joint(cf.demo_spec(3, 7))  # cold cache
+        base = set(relay_axes(full))
+        joints = [full, full.restrict(base | {full.y(2)}), full.restrict(base | {full.y(4)})]
+        pairs = [(a, b) for a in powerset(full.relays) for b in powerset(full.relays)]
+
+        def query(k):
+            order = np.random.default_rng(k).permutation(len(pairs))
+            return {pairs[i]: joints[k % 3].relay_entropy(*pairs[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-query
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(query, range(24), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 24
+        for key in pairs:
+            assert len({r[key] for r in results}) == 1
 
 
 class TestJson:
