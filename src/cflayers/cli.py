@@ -16,7 +16,7 @@ from . import geometry, region, solver
 from .demo import demo_spec
 from .errors import CFLayersError, NotConvergedError
 from .layering import enumerate_layerings, parse_layering
-from .probability import build_joint, build_relay_joint, load_spec, validate_spec
+from .probability import _build, build_joint, build_relay_joint, load_spec, validate_spec
 from .region import DEFAULT_EPSILON, fmt12, load_rates
 
 EXIT_OK = 0
@@ -165,10 +165,8 @@ def _subset_joints(joint, s: frozenset, below: float = float("inf")):
 
 
 def cmd_floors(args) -> int:
-    full = build_joint(load_spec(args.channel))
-    # no floor, cap or window term reads X1: sum the full table only once
-    joint = full.restrict(v for v in full.variables if v != full.x1)
-    del full  # the largest table; nothing reads it again
+    # no floor, cap or window term reads X1: the full joint is never built
+    joint = _build(load_spec(args.channel), lambda v: v.label != "X1")
     relays = joint.relay_set
     relay = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
     # caps first: the floors and the subset walk find their terms in the shared memo

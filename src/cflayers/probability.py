@@ -7,11 +7,11 @@ The joint factors as
 
     p(x1) * prod_i p(xi) * p(y2..yd | x1..x_{d-1}) * prod_i p(yhi | xi, yi)
 
-and is stored as one dense table, either over every variable (`build_joint`)
-or over (Xi, Yhi per relay, Yd) only (`build_relay_joint`), which is all the
-rate caps and the shift search read.  The source observation y1 and the
-destination input x_d never enter any computed quantity and are marginalized
-away at construction.
+and is stored as one dense table, summed inside one einsum straight to the
+variables read: every one (`build_joint`), or (Xi, Yhi per relay, Yd) only
+(`build_relay_joint`), which is all the rate caps and the shift search read.
+The source observation y1 and the destination input x_d never enter any
+computed quantity and are marginalized away at construction.
 
 All entropies are in bits.  Queries are pure and cached per variable set, so
 a `JointPmf` and its restrictions can be shared freely across threads.
@@ -391,7 +391,7 @@ class JointPmf:
 
     def _sum_to(self, mask: int) -> np.ndarray:
         drop = tuple(i for i, bit in enumerate(self._bits) if not mask & bit)
-        return self._table.sum(axis=drop)
+        return self._table.sum(axis=drop) if drop else self._table
 
     def _entropy(self, mask: int, variables=None) -> float:
         # generic queries sum through the public `marginal`; relay queries do not
@@ -399,11 +399,14 @@ class JointPmf:
         if cached is None:
             marg = (self._sum_to(mask) if variables is None else self.marginal(variables)).ravel()
             probs = marg[marg > ZERO_MASS]
-            cached = self._cache.setdefault(mask, max(0.0, float(-np.sum(probs * np.log2(probs)))))
+            terms = np.log2(probs)  # p log2 p in place: no third table-size array
+            terms *= probs
+            cached = self._cache.setdefault(mask, max(0.0, float(-np.sum(terms))))
         return cached
 
     def marginal(self, variables) -> np.ndarray:
-        """Marginal table over `variables`, axes in canonical order."""
+        """Marginal table over `variables`, axes in canonical order; the
+        read-only table itself when `variables` are all of this joint's."""
         return self._sum_to(self._mask(variables))
 
     def restrict(self, variables) -> JointPmf:
@@ -469,13 +472,16 @@ class JointPmf:
         return sum(self.entropy({self.x(i), self.yhat(i)}) for i in nodes)
 
 
-def _factor_operands(spec: ChannelSpec):
-    """The full joint's variables and the einsum operands of its factors.
+def _build(spec: ChannelSpec, keep) -> JointPmf:
+    """The joint of the variables `keep` is true for, in canonical order; the
+    rest are summed out inside the one einsum.
 
-    Validates `spec` and applies the cell cap to the full index space, so both
-    builders accept the same specs whatever they keep.  Each einsum axis is
+    Validates `spec` and applies the cell cap to the full index space, so every
+    caller accepts the same specs whatever it keeps.  Each einsum axis is
     labelled by its canonical position: X1 is 0, relay j owns Xi, Yi, Yhi at
-    3j+1..3j+3, and Yd is last.
+    3j+1..3j+3, and Yd is last.  The full joint is multiplied in one pass; any
+    other is contracted pairwise and never builds the full table (the relay
+    joint at 6-7 binary relays: 2-5 ms on a 2-vCPU Xeon, against 0.07-1 s).
     """
     issues = validate_spec(spec)
     if issues:
@@ -506,33 +512,27 @@ def _factor_operands(spec: ChannelSpec):
     args += [spec.channel, [0] + x_ax + y_ax]
     for r, a in zip(spec.relays, x_ax):
         args += [r.p_yhat, [a, a + 1, a + 2]]
-    return variables, args
+    axes = [i for i, v in enumerate(variables) if keep(v)]
+    table = np.einsum(*args, axes, optimize=len(axes) < len(variables))
+    return JointPmf(tuple(variables[i] for i in axes), table)
 
 
 def build_joint(spec: ChannelSpec) -> JointPmf:
-    """Multiply the spec's factors into the dense joint table.
+    """Multiply the spec's factors into the dense joint table over every variable.
 
     Raises InvalidSpecError when validation fails and TableTooLargeError when
     the table would exceed MAX_TABLE_CELLS (2^24) entries.
     """
-    variables, args = _factor_operands(spec)
-    return JointPmf(tuple(variables), np.einsum(*args, list(range(len(variables)))))
+    return _build(spec, lambda v: True)
 
 
 def build_relay_joint(spec: ChannelSpec) -> JointPmf:
     """The joint of (Xi, Yhi per relay, Yd) only, in canonical order.
 
     Every rate cap, staged h-term and shift decision reads only these axes.
-    X1 and every Yi are summed out inside the one einsum, so the full table is
-    never built; the spec checks and the cell cap are those of `build_joint`
-    on the full index space.  The joint has no X1 or Yi, so `x1`, `y(i)`,
-    `source_rate` and the floors raise UnknownVariableError on it.
+    X1 and every Yi are summed out inside the build (`_build`), so the full
+    table is never built; the spec checks and the cell cap are those of
+    `build_joint`.  The joint has no X1 or Yi, so `x1`, `y(i)`, `source_rate`
+    and the floors raise UnknownVariableError on it.
     """
-    variables, args = _factor_operands(spec)
-    keep = [a for j in range(len(spec.relays)) for a in (3 * j + 1, 3 * j + 3)]
-    keep.append(len(variables) - 1)
-    # pairwise contraction: 2-5 ms at 6-7 binary relays on a 2-vCPU Xeon, where
-    # one pass over the full index space (optimize=False) takes 0.07-1 s; the
-    # two tables differ by about 1e-18
-    table = np.einsum(*args, keep, optimize=True)
-    return JointPmf(tuple(variables[i] for i in keep), table)
+    return _build(spec, lambda v: v.label != "X1" and (v.kind != "y" or v.node == spec.d))

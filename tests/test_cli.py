@@ -265,7 +265,7 @@ class TestMalformedInput:
 
 
 class TestRelayJointOnly:
-    """check and solve read the relay joint; floors and export need the full one."""
+    """check and solve read the relay joint, floors an X1-free one; export needs the full one."""
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
@@ -280,7 +280,7 @@ class TestRelayJointOnly:
         captured = capsys.readouterr()
         assert captured.out and captured.err == ""
 
-    @pytest.mark.parametrize("command", [["floors"], ["export"], ["export", "--vertices"]])
+    @pytest.mark.parametrize("command", [["export"], ["export", "--vertices"]])
     def test_floors_and_export_build_it(self, demo3_file, no_full_joint, command):
         with pytest.raises(AssertionError, match="full joint"):
             main(command + ["--channel", demo3_file])
@@ -394,11 +394,21 @@ class TestFloors:
             assert abs(entry["window"] - entry["mi_gap"]) <= 1e-9
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_full_table_summed_once(self, demo3_file, capsys, summed_sizes, fmt):
-        # once down to the X1-free joint; every later query sums a smaller table
+    def test_no_table_of_full_size(self, demo3_file, capsys, monkeypatch, summed_sizes, fmt):
+        # X1 is summed out inside the build: no table of the full joint's size
+        # is constructed or summed
         full_size = cf.build_joint(cf.demo_spec(3, 3)).table.size
+        built = []
+        init = cf.JointPmf.__init__
+
+        def counted(self, variables, table):
+            built.append(table.size)
+            init(self, variables, table)
+
+        monkeypatch.setattr(cf.JointPmf, "__init__", counted)
         assert main(["floors", "--channel", demo3_file, "--format", fmt]) == 0
-        assert summed_sizes.count(full_size) == 1
+        assert built and summed_sizes
+        assert max(built + summed_sizes) == full_size // 2  # the X1-free joint
         assert capsys.readouterr().err == ""
 
     def test_no_memo_key_summed_twice(self, demo3_file, monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from functools import partial
 from itertools import combinations
 
@@ -288,10 +289,15 @@ class TestBuildJoint:
 class TestBuildRelayJoint:
     def test_table_matches_full_marginal(self):
         for spec in mixed_specs():
-            full, relay = cf.build_joint(spec), cf.build_relay_joint(spec)
-            assert list(relay.variables) == relay_axes(full)
-            assert np.max(np.abs(relay.table - full.marginal(relay_axes(full)))) <= 1e-15
-            assert relay.relays == full.relays and relay.d == full.d
+            full = cf.build_joint(spec)
+            no_x1 = cf.probability._build(spec, lambda v: v.label != "X1")  # as `floors`
+            for joint, axes in [
+                (cf.build_relay_joint(spec), relay_axes(full)),
+                (no_x1, list(full.variables[1:])),
+            ]:
+                assert list(joint.variables) == axes
+                assert np.max(np.abs(joint.table - full.marginal(axes))) <= 1e-15
+                assert joint.relays == full.relays and joint.d == full.d
 
     def test_every_cap_matches_full_joint(self):
         for spec in mixed_specs():
@@ -447,6 +453,17 @@ class TestEntropy:
         full = set(demo2.variables)
         cap = sum(np.log2(v.size) for v in full)
         assert 0.0 <= demo2.entropy(full) <= cap + 1e-9
+
+    def test_every_axis_copies_the_table_at_most_twice(self):
+        # the table itself is summed, not a copy, and p log2 p is formed in place
+        joint = cf.build_joint(cf.demo_spec(4, 7))
+        tracemalloc.start()
+        try:
+            joint.entropy(joint.variables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * joint.table.nbytes
 
     def test_unknown_variable(self, demo2, demo3):
         with pytest.raises(cf.UnknownVariableError):
