@@ -170,7 +170,7 @@ def cmd_floors(args) -> int:
     relays = joint.relay_set
     relay = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
     # caps first: the floors and the subset walk find their terms in the shared memo
-    caps = list(region.region_caps(relay, None))
+    caps = region.region_caps(relay, None)
     floors = region.compression_floor(joint)
     gaps = {s: region.mi_gap(sub, s) for s, sub in _subset_joints(joint, relays)}
     entries = []

@@ -410,8 +410,8 @@ class JointPmf:
         return self._sum_to(self._mask(variables))
 
     def restrict(self, variables) -> JointPmf:
-        """The joint of `variables` alone, sharing this joint's memo; raises
-        IncompleteRestrictionError unless they include every relay input and Yd."""
+        """The joint of `variables` alone, summed to their mask, sharing this joint's memo;
+        raises IncompleteRestrictionError unless they include every relay input and Yd."""
         mask = self._mask(variables)
         axes = [i for i, bit in enumerate(self._bits) if mask & bit]
         kept = tuple(self._variables[i] for i in axes)
@@ -421,7 +421,7 @@ class JointPmf:
             raise IncompleteRestrictionError(
                 f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
             )
-        child = JointPmf(kept, self.marginal(kept))
+        child = JointPmf(kept, self._sum_to(mask))
         # the same distribution, so one memo in one key space answers both
         child._bits, child._cache = tuple(self._bits[i] for i in axes), self._cache
         return child

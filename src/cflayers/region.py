@@ -179,35 +179,35 @@ def _cap(joint: JointPmf, layering: Layering | None, s: frozenset[int]) -> float
     return total
 
 
+def _relay_subset(joint: JointPmf, s) -> frozenset[int]:
+    """`s` as a nonempty set of the joint's relays: the subset check of every cap."""
+    s = frozenset(s)
+    if not s:
+        raise EmptySubsetError("rate caps are defined for nonempty subsets")
+    if not s <= joint.relay_set:
+        raise InvalidSubsetError(f"nodes {sorted(s - joint.relay_set)} are not relays")
+    return s
+
+
 def layered_rhs(joint: JointPmf, layering: Layering, s) -> float:
     """Rate cap for subset `s` under the staged decode of `layering`: the pair
     sum minus h_term(l) for l = 0..depth, in that order."""
     require_valid_layering(joint, layering)
-    s = frozenset(s)
-    if not s:
-        raise EmptySubsetError("layered rate cap is defined for nonempty subsets")
-    active(layering, s, -1)  # rejects nodes outside the layering
-    return _cap(joint, layering, s)
+    return _cap(joint, layering, _relay_subset(joint, s))
 
 
 def boundary_rhs(joint: JointPmf, s) -> float:
     """Rate cap for subset `s` in the layering-free outer region."""
-    s = frozenset(s)
-    if not s:
-        raise EmptySubsetError("outer rate cap is defined for nonempty subsets")
-    return _cap(joint, None, s)
+    return _cap(joint, None, _relay_subset(joint, s))
 
 
-def region_caps(joint: JointPmf, layering: Layering | None):
+def region_caps(joint: JointPmf, layering: Layering | None) -> tuple:
     """(subset, cap) for every nonempty relay subset, in bitmask order: the outer
-    region's caps when `layering` is None, else the staged caps of `layering`.
-
-    The layering is checked at once; each cap is computed only as the result
-    is iterated, so a caller can check the rest of its input first.
-    """
+    region's caps when `layering` is None, else the staged caps of `layering`,
+    which is checked against the joint first."""
     if layering is not None:
         require_valid_layering(joint, layering)
-    return ((s, _cap(joint, layering, s)) for s in subsets_by_mask(joint.relay_set))
+    return tuple((s, _cap(joint, layering, s)) for s in subsets_by_mask(joint.relay_set))
 
 
 # -- membership reports ----------------------------------------------------------
@@ -271,12 +271,14 @@ class ConstraintReport:
 
 
 def _build_report(joint, layering, rates, epsilon) -> ConstraintReport:
-    caps = region_caps(joint, layering)
+    # every input is checked, layering first, before any cap is computed
+    if layering is not None:
+        require_valid_layering(joint, layering)
     rates.check_for(joint.relay_set)
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     entries = []
-    for s, rhs in caps:
+    for s, rhs in region_caps(joint, layering):
         rate_sum = rates.subset_sum(s)
         entries.append(SubsetConstraint(s, rhs, rate_sum, satisfied=(rhs - rate_sum) > epsilon))
     kind = "outer" if layering is None else "layered"

@@ -1,13 +1,13 @@
 """Find a layering whose region contains a target compression rate vector.
 
-The search starts from any valid layering (single-layer by default), asks
-which relay subsets exceed their staged rate caps, and shifts the union of
-the violators one layer deeper.  Each shift certifies a growing core of
-relays: after shifting U, every subset of (R \\ U) union the previous core
-provably satisfies the new layering's constraints, so the core only grows
-and the iteration stops once it is all of R.  For any target strictly inside
-the outer region the iteration terminates; `max_iter` is a guard for targets
-outside it, not a correctness bound.
+The search starts from the single-layer layering, asks which relay subsets
+exceed their staged rate caps, and shifts the union of the violators one
+layer deeper.  Each shift certifies a growing core of relays: after shifting
+U, every subset of (R \\ U) union the previous core provably satisfies the
+new layering's constraints, so the core only grows and the iteration stops
+once it is all of R.  For any target strictly inside the outer region the
+iteration terminates; outside it the walk stops once it provably never
+accepts, and `max_iter` guards the rest.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .region import (
     check_layered,
     fmt12,
     pick_violator,
-    require_valid_layering,
 )
 
 
@@ -80,7 +79,6 @@ class SolveTrace:
 def solve(
     joint: JointPmf,
     rates: RateVector,
-    initial: Layering | None = None,
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int | None = None,
 ) -> tuple[Layering, SolveTrace]:
@@ -89,9 +87,11 @@ def solve(
     Returns the accepting layering and the full trace; when the iteration
     lands on a layering with interior empty layers, the returned layering is
     its compaction provided that also accepts (it widens every cap, so it
-    does, up to rounding at the epsilon boundary).  Raises NotConvergedError
-    (with the trace attached) after `max_iter` shifts, which for rate vectors
-    outside the outer region is the expected outcome.
+    does, up to rounding at the epsilon boundary).  Raises NotConvergedError,
+    with the trace up to the last layering tried, when the next layering was
+    tried before or only widens an interior gap (which keeps every cap), or
+    after `max_iter` shifts; for rate vectors outside the outer region that
+    is the expected outcome.
     """
     relays = joint.relay_set
     rates.check_for(relays)
@@ -100,9 +100,9 @@ def solve(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    start = initial if initial is not None else Layering((relays,))
-    require_valid_layering(joint, start)
-    current = canonicalize(start)
+    current = Layering((relays,))
+    seen = {current}
+    stop = f"no accepting layering within {max_iter} shifts"
     core: frozenset[int] = frozenset()
     steps: list[SolveStep] = []
     for n in range(max_iter + 1):
@@ -130,13 +130,21 @@ def solve(
             return result, SolveTrace(steps=steps, status="achieved")
         if n == max_iter:
             break
+        nxt = canonicalize(shift(current, chosen))
+        if nxt in seen or _widens_gap(current, nxt):
+            stop = f"the shift walk never accepts: {nxt} has the caps of a layering it tried"
+            break
+        seen.add(nxt)
         core = (relays - chosen) | core
-        current = canonicalize(shift(current, chosen))
+        current = nxt
 
-    trace = SolveTrace(steps=steps, status="not_converged")
-    raise NotConvergedError(
-        f"no accepting layering within {max_iter} shifts", trace
-    )
+    raise NotConvergedError(stop, SolveTrace(steps=steps, status="not_converged"))
+
+
+def _widens_gap(layering: Layering, nxt: Layering) -> bool:
+    """`nxt` is `layering` with one more empty layer next to an empty layer."""
+    a, b = layering.layers, nxt.layers
+    return any(not b[i] and not b[i + 1] and b[:i] + b[i + 1:] == a for i in range(len(b) - 1))
 
 
 def brute_force_layering(

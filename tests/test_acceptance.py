@@ -170,6 +170,8 @@ def test_criterion_7_shift_search_reaches_interior_targets():
             assert trace.status == "achieved"
             assert cf.check_layered(joint, layering, rates).is_member
             assert not trace.degenerate
+            visited = [step.layering for step in trace.steps]
+            assert len(set(visited)) == len(visited)  # a repeat would stop the walk
             relays = joint.relay_set
             assert trace.steps[0].core == frozenset()
             for prev, nxt in zip(trace.steps, trace.steps[1:]):

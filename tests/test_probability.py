@@ -395,6 +395,17 @@ class TestRestrict:
         assert joint.relays == demo3.relays and joint.d == demo3.d
         assert not joint.table.flags.writeable
 
+    def test_sums_without_the_public_marginal(self, demo3, monkeypatch):
+        # `marginal` is the method a tracer wraps to count generic queries
+        def refuse(self, variables):
+            raise AssertionError("restrict called JointPmf.marginal")
+
+        keep = [v for v in demo3.variables if v != demo3.x1]
+        monkeypatch.setattr(cf.JointPmf, "marginal", refuse)
+        joint = demo3.restrict(keep)
+        monkeypatch.undo()
+        assert np.array_equal(joint.table, demo3.marginal(keep))
+
     @pytest.mark.parametrize("drop", ["x3", "yd"])
     def test_must_keep_relay_inputs_and_yd(self, demo3, drop):
         # {X2, Yh2, Y3} would read as a one-relay net whose Yd is Y3

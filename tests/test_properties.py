@@ -196,6 +196,18 @@ def test_compaction_weakly_raises_every_cap(demo3, data):
 
 
 @PROPERTY
+@given(data=st.data(), n=st.integers(2, 4))
+def test_widening_an_interior_gap_keeps_every_cap(data, n):
+    # why `solve` stops when a shift only widens a gap: every cap repeats bit for bit
+    joint = cf.build_relay_joint(cf.demo_spec(n, 7))
+    layers = data.draw(layerings(joint.relay_set).filter(lambda lay: lay.depth > 1)).layers
+    gap = data.draw(st.integers(1, len(layers) - 1))  # between two layers
+    once = cf.make_layering(layers[:gap] + (frozenset(),) + layers[gap:])
+    twice = cf.make_layering(layers[:gap] + (frozenset(),) * 2 + layers[gap:])
+    assert cf.region.region_caps(joint, twice) == cf.region.region_caps(joint, once)
+
+
+@PROPERTY
 @given(
     weights=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
     fraction=st.floats(0.05, 0.95),

@@ -257,6 +257,24 @@ class TestBoundaryRhs:
         for s in subsets_by_mask(demo3.relay_set):
             assert cf.boundary_rhs(demo3, s) >= -1e-9
 
+    def test_empty_subset(self, demo2):
+        with pytest.raises(cf.EmptySubsetError):
+            cf.boundary_rhs(demo2, frozenset())
+
+    def test_subset_outside_relays(self, demo2, no_entropy):
+        with pytest.raises(cf.InvalidSubsetError, match=r"\[9\]"):
+            cf.boundary_rhs(demo2, {2, 9})
+
+
+class TestRegionCaps:
+    def test_returns_a_tuple_of_every_cap(self, demo2):
+        lay = parse_layering("3|2")
+        outer, staged = cf.region.region_caps(demo2, None), cf.region.region_caps(demo2, lay)
+        assert isinstance(outer, tuple) and isinstance(staged, tuple)
+        subsets = list(subsets_by_mask(demo2.relay_set))
+        assert outer == tuple((s, cf.boundary_rhs(demo2, s)) for s in subsets)
+        assert staged == tuple((s, cf.layered_rhs(demo2, lay, s)) for s in subsets)
+
 
 class TestMembership:
     def test_zero_rates_member(self, demo2):

@@ -57,14 +57,38 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="epsilon"):
             cf.solve(demo2, zero_rates(demo2), epsilon=float("nan"))
 
-    def test_invalid_initial_layering(self, demo2):
-        with pytest.raises(ValueError):
-            cf.solve(demo2, zero_rates(demo2), initial=make_layering([{2}]))
 
-    def test_custom_initial_layering(self, demo2):
-        layering, trace = cf.solve(demo2, zero_rates(demo2), initial=parse_layering("3|2"))
-        assert trace.steps[0].layering == parse_layering("3|2")
-        assert trace.status == "achieved"
+def over_singleton_caps(joint, over):
+    """Rates at 1.01x the singleton outer cap for the relays in `over`, 1e-4 elsewhere."""
+    return cf.RateVector(
+        {i: 1.01 * cf.boundary_rhs(joint, {i}) if i in over else 1e-4 for i in joint.relays}
+    )
+
+
+class TestNeverAcceptingWalks:
+    # each target lies outside the outer region: without a stop rule the walk
+    # would run all 16 * 2^n shifts of `max_iter`
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_relay_over_stops_at_the_first_repeat(self, n):
+        joint = cf.build_relay_joint(cf.demo_spec(n, 7))
+        with pytest.raises(cf.NotConvergedError, match="never accepts") as err:
+            cf.solve(joint, over_singleton_caps(joint, joint.relays))
+        # shifting every relay and stripping the leading empty layer returns the start
+        trace = err.value.trace
+        assert [step.layering for step in trace.steps] == [make_layering([joint.relay_set])]
+        assert trace.steps[0].chosen == joint.relay_set
+        assert trace.status == "not_converged"
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_relay_over_stops_when_only_a_gap_widens(self, n):
+        joint = cf.build_relay_joint(cf.demo_spec(n, 7))
+        with pytest.raises(cf.NotConvergedError, match=r"\|\|\|2 has the caps") as err:
+            cf.solve(joint, over_singleton_caps(joint, {2}))
+        layerings = [step.layering for step in err.value.trace.steps]
+        assert len(layerings) <= n
+        assert len(set(layerings)) == len(layerings)
+        assert layerings[-1].layers[-2:] == (frozenset(), frozenset({2}))
 
 
 class TestTwoShiftInstance:
