@@ -4,11 +4,17 @@ Exit codes are a stable contract: 0 for success or membership, 1 for a
 non-member rate vector, 2 for input errors, 3 when the shift iteration does
 not converge.  Identical inputs produce byte-identical outputs; every number
 is printed at 12 significant digits.
+
+Each command returns its exit code, its JSON object and its text lines, the
+lines as a generator, so none is formatted for JSON output.  `main` writes
+one of the two, once, to `--out` or to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -16,7 +22,9 @@ from . import geometry, region, solver
 from .demo import demo_spec
 from .errors import CFLayersError, NotConvergedError
 from .layering import enumerate_layerings, parse_layering
-from .probability import _build, build_joint, build_relay_joint, load_spec, validate_spec
+from .probability import (
+    _build, build_joint, build_relay_joint, load_spec, validate_spec, write_json,
+)
 from .region import DEFAULT_EPSILON, fmt12, load_rates
 
 EXIT_OK = 0
@@ -25,53 +33,66 @@ EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _emit(write, out_path: str | None) -> None:
-    """Call `write(fh)` on the output file, or on stdout when no path is given."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
-
-
-def _print_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _report_lines(report: region.ConstraintReport) -> list[str]:
-    lines = []
+def _report_lines(report: region.ConstraintReport):
     for e in report.entries:
         state = "ok" if e.satisfied else "VIOLATED"
         subset = ",".join(str(i) for i in sorted(e.subset))
-        lines.append(
-            f"S={{{subset}}} rhs={fmt12(e.rhs):.12g} "
-            f"rate_sum={fmt12(e.rate_sum):.12g} slack={fmt12(e.slack):.12g} {state}"
+        yield (
+            f"S={{{subset}}} rhs={e.rhs:.12g} "
+            f"rate_sum={e.rate_sum:.12g} slack={e.slack:.12g} {state}"
         )
-    lines.append(f"member: {'yes' if report.is_member else 'no'}")
-    return lines
+    yield f"member: {'yes' if report.is_member else 'no'}"
 
 
-def _show_report(report: region.ConstraintReport, fmt: str) -> None:
-    if fmt == "json":
-        _print_json(report.to_json_obj())
-    else:
-        print("\n".join(_report_lines(report)))
+def _layering_lines(layerings):
+    for lay in layerings:
+        yield lay.to_text()
+    yield f"total {len(layerings)}"
 
 
-def cmd_layerings(args) -> int:
+def _not_converged_lines(trace: solver.SolveTrace):
+    yield f"not converged after {trace.shifts} shifts"
+    for step in trace.steps:
+        yield f"  iter {step.index}: {step.layering.to_text()}"
+
+
+def _achieved_lines(layering, trace: solver.SolveTrace):
+    yield f"achieving layering: {layering.to_text()}"
+    for step in trace.steps:
+        move = (
+            "accept"
+            if step.chosen is None
+            else "shift {" + ",".join(str(i) for i in sorted(step.chosen)) + "}"
+        )
+        yield (
+            f"  iter {step.index}: {step.layering.to_text()} "
+            f"min_slack={step.report.min_slack:.12g} {move}"
+        )
+
+
+def _floor_lines(floors: dict, entries: list):
+    for i in sorted(floors):
+        yield f"floor({i}) = {floors[i]:.12g}"
+    for e in entries:
+        subset = ",".join(str(i) for i in e["subset"])
+        window = "nonempty" if e["window_nonempty"] else "empty"
+        flag = "" if e["consistent"] else " INCONSISTENT"
+        yield (
+            f"S={{{subset}}} floors={e['floor_sum']:.12g} "
+            f"rhs={e['boundary_rhs']:.12g} window={e['window']:.12g} "
+            f"({window}){flag}"
+        )
+
+
+def cmd_layerings(args) -> tuple:
     if args.count < 1:
         raise CFLayersError(f"need at least one relay, got --count {args.count}")
     layerings = enumerate_layerings(range(2, 2 + args.count))
-    if args.format == "json":
-        _print_json([[sorted(layer) for layer in lay.layers] for lay in layerings])
-    else:
-        for lay in layerings:
-            print(lay.to_text())
-        print(f"total {len(layerings)}")
-    return EXIT_OK
+    obj = [[sorted(layer) for layer in lay.layers] for lay in layerings]
+    return EXIT_OK, obj, _layering_lines(layerings)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     joint = build_relay_joint(load_spec(args.channel))
     rates = load_rates(args.rates)
     if args.layering is not None:
@@ -79,72 +100,47 @@ def cmd_check(args) -> int:
         report = region.check_layered(joint, layering, rates, args.epsilon)
     else:
         report = region.check_outer(joint, rates, args.epsilon)
-    _show_report(report, args.format)
-    return EXIT_OK if report.is_member else EXIT_NON_MEMBER
+    code = EXIT_OK if report.is_member else EXIT_NON_MEMBER
+    return code, report.to_json_obj(), _report_lines(report)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple:
     joint = build_relay_joint(load_spec(args.channel))
     rates = load_rates(args.rates)
     outer = region.check_outer(joint, rates, args.epsilon)
     if not outer.is_member:
-        if args.format == "json":
-            _print_json({"status": "outside_outer", "outer": outer.to_json_obj()})
-        else:
-            print("rate vector is outside the outer region:")
-            print("\n".join(_report_lines(outer)))
-        return EXIT_NON_MEMBER
+        obj = {"status": "outside_outer", "outer": outer.to_json_obj()}
+        lines = itertools.chain(["rate vector is outside the outer region:"], _report_lines(outer))
+        return EXIT_NON_MEMBER, obj, lines
 
     try:
         layering, trace = solver.solve(
             joint, rates, epsilon=args.epsilon, max_iter=args.max_iter
         )
     except NotConvergedError as exc:
-        if args.format == "json":
-            _print_json({"status": "not_converged", "trace": exc.trace.to_json_obj()})
-        else:
-            print(f"not converged after {exc.trace.shifts} shifts")
-            for step in exc.trace.steps:
-                print(f"  iter {step.index}: {step.layering.to_text()}")
-        return EXIT_NOT_CONVERGED
+        obj = {"status": "not_converged", "trace": exc.trace.to_json_obj()}
+        return EXIT_NOT_CONVERGED, obj, _not_converged_lines(exc.trace)
 
-    if args.format == "json":
-        _print_json(
-            {
-                "status": "achieved",
-                "layering": [sorted(layer) for layer in layering.layers],
-                "trace": trace.to_json_obj(),
-            }
-        )
-    else:
-        print(f"achieving layering: {layering.to_text()}")
-        for step in trace.steps:
-            move = (
-                "accept"
-                if step.chosen is None
-                else "shift {" + ",".join(str(i) for i in sorted(step.chosen)) + "}"
-            )
-            print(
-                f"  iter {step.index}: {step.layering.to_text()} "
-                f"min_slack={fmt12(step.report.min_slack):.12g} {move}"
-            )
-    return EXIT_OK
+    obj = {
+        "status": "achieved",
+        "layering": [sorted(layer) for layer in layering.layers],
+        "trace": trace.to_json_obj(),
+    }
+    return EXIT_OK, obj, _achieved_lines(layering, trace)
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple:
     joint = build_joint(load_spec(args.channel))
     atlas = geometry.export_atlas(joint, with_vertices=args.vertices)
-    _emit(atlas.dump, args.out)
-    return EXIT_OK
+    return EXIT_OK, atlas.to_json_obj(), None
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> tuple:
     spec = demo_spec(args.relays, args.seed)
     issues = validate_spec(spec)
     if issues:  # generator bug; never expected
         raise CFLayersError("generated spec failed validation: " + str(issues[0]))
-    _emit(lambda fh: fh.write(spec.dumps()), args.out)
-    return EXIT_OK
+    return EXIT_OK, spec.to_json_obj(), None
 
 
 def _subset_joints(joint, s: frozenset, below: float = float("inf")):
@@ -164,7 +160,7 @@ def _subset_joints(joint, s: frozenset, below: float = float("inf")):
             yield from _subset_joints(child, s - {i}, i)
 
 
-def cmd_floors(args) -> int:
+def cmd_floors(args) -> tuple:
     # no floor, cap or window term reads X1: the full joint is never built
     joint = _build(load_spec(args.channel), lambda v: v.label != "X1")
     relays = joint.relay_set
@@ -196,25 +192,10 @@ def cmd_floors(args) -> int:
         "subsets": entries,
         "consistent": consistent,
     }
-    if args.format == "json":
-        _print_json(obj)
-    else:
-        for i in sorted(floors):
-            print(f"floor({i}) = {fmt12(floors[i]):.12g}")
-        for e in entries:
-            subset = ",".join(str(i) for i in e["subset"])
-            window = "nonempty" if e["window_nonempty"] else "empty"
-            flag = "" if e["consistent"] else " INCONSISTENT"
-            print(
-                f"S={{{subset}}} floors={e['floor_sum']:.12g} "
-                f"rhs={e['boundary_rhs']:.12g} window={e['window']:.12g} "
-                f"({window}){flag}"
-            )
     if not consistent:
         print("internal-consistency failure: window and mutual-information forms disagree",
               file=sys.stderr)
-        return EXIT_NON_MEMBER
-    return EXIT_OK
+    return (EXIT_OK if consistent else EXIT_NON_MEMBER), obj, _floor_lines(floors, entries)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cflayers",
         description="Compression-rate regions for compress-forward relay networks.",
     )
+    # commands without --format write JSON, commands without --out write to stdout
+    parser.set_defaults(format="json", out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("layerings", help="enumerate all layerings of a relay set")
@@ -266,10 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, obj, lines = args.func(args)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            if args.format == "json":
+                write_json(obj, fh)
+            else:
+                for line in lines:
+                    print(line, file=fh)
+        return code
     except NotConvergedError:
         raise  # handled per command; reaching here is a bug
     except json.JSONDecodeError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionTooHighError
 from .layering import Layering, enumerate_layerings
-from .probability import JointPmf
+from .probability import JointPmf, write_json
 from .region import fmt12, region_caps
 
 VERTEX_TOL = 1e-9
@@ -137,8 +136,7 @@ class Atlas:
 
     def dump(self, fh) -> None:
         """Write the JSON text to `fh` as it is encoded, without one big string."""
-        json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(self.to_json_obj(), fh)
 
     def dumps(self) -> str:
         buf = io.StringIO()

@@ -19,6 +19,7 @@ a `JointPmf` and its restrictions can be shared freely across threads.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -111,11 +112,20 @@ class ChannelSpec:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        write_json(self.to_json_obj(), buf)
+        return buf.getvalue()
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(self.dumps())
+            write_json(self.to_json_obj(), fh)
+
+
+def write_json(obj, fh) -> None:
+    """Write `obj` to `fh` as it is encoded: 2-space indent, sorted keys, one
+    final newline.  Every JSON document the package writes goes through here."""
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _as_table(raw, name: str) -> np.ndarray:

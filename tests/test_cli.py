@@ -364,6 +364,15 @@ class TestDemo:
         assert main(["demo", "--relays", "3", "--seed", "9", "--out", str(out)]) == 0
         assert cf.validate_spec(cf.load_spec(out)) == []
 
+    def test_out_file_matches_stdout_and_dumps(self, tmp_path, capsys):
+        out = tmp_path / "chan.json"
+        assert main(["demo", "--relays", "2", "--seed", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["demo", "--relays", "2", "--seed", "7"]) == 0
+        expected = cf.demo_spec(2, 7).dumps()
+        assert capsys.readouterr().out == expected
+        assert out.read_text() == expected
+
     @pytest.mark.parametrize("relays, cells", [(8, "2^26"), (10**12, "2^3000000000002")])
     def test_over_cell_cap_exits_two_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                     relays, cells):
@@ -485,3 +494,45 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["export", "--format", "text"], ["check", "--rates", "r.json", "--out", "x"]]
+    )
+    def test_flag_of_another_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--channel", "unused.json"])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOutputStep:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["layerings", "--count", "3"], 0),
+            (["check", "--rates", "{two_shift}"], 0),
+            (["solve", "--rates", "{two_shift}"], 0),
+            (["solve", "--rates", "{two_shift}", "--max-iter", "1"], 3),
+            (["solve", "--rates", "{outside}"], 1),
+            (["floors"], 0),
+        ],
+        ids=["layerings", "check", "solve", "not_converged", "outside_outer", "floors"],
+    )
+    def test_json_formats_no_text_line(self, demo3_file, tmp_path, capsys, monkeypatch,
+                                       argv, code):
+        def refuse(*args):
+            raise AssertionError("a text line was formatted")
+            yield
+
+        for name in vars(cf.cli):
+            if name.startswith("_") and name.endswith("_lines"):
+                monkeypatch.setattr(cf.cli, name, refuse)
+        rates = {
+            "{two_shift}": write_rates(tmp_path, TWO_SHIFT_RATES),
+            "{outside}": str(tmp_path / "outside.json"),
+        }
+        (tmp_path / "outside.json").write_text('{"rates": {"2": 5.0, "3": 5.0, "4": 5.0}}')
+        if argv[0] != "layerings":
+            argv = argv + ["--channel", demo3_file]
+        assert main([rates.get(a, a) for a in argv] + ["--format", "json"]) == code
+        assert json.loads(capsys.readouterr().out)
