@@ -151,7 +151,8 @@ def _subset_joints(joint, s: frozenset, below: float = float("inf")):
     after the parent was yielded, so it sums the parent's table, one Y axis
     larger; all of them share one memo, so no entropy is summed twice.  Nodes
     are dropped in decreasing order, so each S is reached once and at most one
-    table per depth is alive.
+    table per depth is alive; a query is summed from the smallest live one
+    that holds it.
     """
     yield s, joint
     if len(s) > 1:
@@ -164,14 +165,13 @@ def cmd_floors(args) -> tuple:
     # no floor, cap or window term reads X1: the full joint is never built
     joint = _build(load_spec(args.channel), lambda v: v.label != "X1")
     relays = joint.relay_set
+    # alive through the walk, so every term it holds is summed from its table
     relay = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
-    # caps first: the floors and the subset walk find their terms in the shared memo
-    caps = region.region_caps(relay, None)
     floors = region.compression_floor(joint)
     gaps = {s: region.mi_gap(sub, s) for s, sub in _subset_joints(joint, relays)}
     entries = []
     consistent = True
-    for s, cap in caps:
+    for s, cap in region.region_caps(relay, None):
         floor_sum = region.floor_sum(floors, s)
         window = cap - floor_sum
         ok = abs(window - gaps[s]) <= 1e-9

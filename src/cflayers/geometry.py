@@ -62,7 +62,8 @@ def enumerate_vertices(halfspaces, relays) -> list[tuple[float, ...]]:
 
     Brute force: solve every choice of `dim` hyperplanes drawn from the
     constraint planes and the coordinate planes, keep solutions satisfying
-    all closed constraints within tolerance, deduplicate, sort.
+    all closed constraints within tolerance, deduplicate, and sort by the
+    coordinates as printed (`fmt12`), so rounding noise cannot reorder them.
     """
     nodes = sorted(relays)
     dim = len(nodes)
@@ -94,7 +95,8 @@ def enumerate_vertices(halfspaces, relays) -> list[tuple[float, ...]]:
         point = np.where(np.abs(point) < 1e-12, 0.0, point)
         if not any(np.max(np.abs(point - q)) <= VERTEX_TOL for q in found):
             found.append(point)
-    return sorted(tuple(float(v) for v in p) for p in found)
+    points = [tuple(float(v) for v in p) for p in found]
+    return sorted(points, key=lambda p: tuple(map(fmt12, p)))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import io
 import json
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,22 +298,58 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
     return issues
 
 
+class _Family:
+    """What a root joint and its restrictions share: one entropy memo, keyed by
+    a mask with one bit per root variable, and a record of the live members.
+
+    Each member is recorded with the mask of its axes and a weak reference, in
+    registration order, so the record never keeps a dropped restriction alive;
+    dead entries are pruned at the next pick.
+    """
+
+    def __init__(self, root: JointPmf):
+        self.memo: dict[int, float] = {}
+        self._members: list = []
+        self._lock = threading.Lock()  # a restriction may register mid-pick
+        self.add(root)
+
+    def add(self, joint: JointPmf) -> None:
+        with self._lock:
+            self._members.append((sum(joint._bits), weakref.ref(joint)))
+
+    def smallest(self, joint: JointPmf, mask: int) -> JointPmf:
+        """The live member with the fewest cells whose axes hold `mask`; ties
+        go to `joint`, which holds it, then to the member registered first."""
+        best = joint
+        with self._lock:
+            live = []
+            for held, ref in self._members:
+                member = ref()
+                if member is not None:
+                    live.append((held, ref))
+                    if not mask & ~held and member._table.size < best._table.size:
+                        best = member
+            self._members = live
+        return best
+
+
 class JointPmf:
     """Dense joint pmf over (X1, {Xi, Yi, Yhi} per relay, Yd), or over a part
     of it that keeps every Xi and Yd, such as (Xi, Yhi per relay, Yd).  Immutable.
 
     Axes follow that canonical order with the last index fastest; one
     (kind, node) -> axis map is the only layout lookup.  Entropy queries
-    marginalize the table and are memoized by a mask with one bit per variable
+    marginalize a table and are memoized by a mask with one bit per variable
     of the root joint (the one built, not restricted).  Concurrent reads are
     safe: a value may be computed twice, but the first one stored is returned.
 
-    `restrict(variables)` sums the table once down to `variables` and returns
-    their joint, in canonical order, so a batch of queries that reads only
-    those axes sums a smaller table.  The child, the same distribution, shares
-    its parent's memo, so an entropy computed on any restriction of one root
-    answers the root and all its restrictions.  The relays and Yd are read off
-    the kept axes, so every relay input and Yd must be kept.
+    `restrict(variables)` sums a table once down to `variables` and returns
+    their joint, in canonical order.  A root and its restrictions are one
+    distribution: they share the memo and their tables, so an entropy computed
+    on any member answers all of them, and a new one is summed from the
+    smallest live member that holds its variables, whichever member was
+    asked.  A dropped restriction is freed as usual.  The relays and Yd are
+    read off the kept axes, so every relay input and Yd must be kept.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
@@ -334,7 +372,7 @@ class JointPmf:
         self._variables = variables
         self._axis = {(v.kind, v.node): i for i, v in enumerate(variables)}
         self._bits = tuple(1 << i for i in range(len(variables)))  # memo-key bit per axis
-        self._cache: dict[int, float] = {}
+        self._family = _Family(self)
 
     # -- structure ----------------------------------------------------------
     @property
@@ -405,13 +443,15 @@ class JointPmf:
 
     def _entropy(self, mask: int, variables=None) -> float:
         # generic queries sum through the public `marginal`; relay queries do not
-        cached = self._cache.get(mask)
+        memo = self._family.memo
+        cached = memo.get(mask)
         if cached is None:
-            marg = (self._sum_to(mask) if variables is None else self.marginal(variables)).ravel()
+            source = self._family.smallest(self, mask)
+            marg = (source._sum_to(mask) if variables is None else source.marginal(variables)).ravel()
             probs = marg[marg > ZERO_MASS]
             terms = np.log2(probs)  # p log2 p in place: no third table-size array
             terms *= probs
-            cached = self._cache.setdefault(mask, max(0.0, float(-np.sum(terms))))
+            cached = memo.setdefault(mask, max(0.0, float(-np.sum(terms))))
         return cached
 
     def marginal(self, variables) -> np.ndarray:
@@ -420,7 +460,8 @@ class JointPmf:
         return self._sum_to(self._mask(variables))
 
     def restrict(self, variables) -> JointPmf:
-        """The joint of `variables` alone, summed to their mask, sharing this joint's memo;
+        """The joint of `variables` alone, summed from the smallest live member of this
+        joint's family that holds them, and sharing that family's memo and tables;
         raises IncompleteRestrictionError unless they include every relay input and Yd."""
         mask = self._mask(variables)
         axes = [i for i, bit in enumerate(self._bits) if mask & bit]
@@ -431,9 +472,10 @@ class JointPmf:
             raise IncompleteRestrictionError(
                 f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
             )
-        child = JointPmf(kept, self._sum_to(mask))
+        child = JointPmf(kept, self._family.smallest(self, mask)._sum_to(mask))
         # the same distribution, so one memo in one key space answers both
-        child._bits, child._cache = tuple(self._bits[i] for i in axes), self._cache
+        child._bits, child._family = tuple(self._bits[i] for i in axes), self._family
+        self._family.add(child)
         return child
 
     def entropy(self, variables) -> float:

@@ -425,7 +425,7 @@ class TestFloors:
         entropy = cf.JointPmf._entropy
 
         def counted(self, mask, variables=None):
-            if mask not in self._cache:
+            if mask not in self._family.memo:
                 missed.append(mask)
             return entropy(self, mask, variables)
 

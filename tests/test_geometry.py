@@ -1,5 +1,7 @@
 """H-representations, vertex enumeration, and the atlas export."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,16 @@ class TestAtlas:
         obj = cf.export_atlas(demo2, with_vertices=True).to_json_obj()
         assert "vertices" in obj["outer"]
         assert all("vertices" in entry for entry in obj["layerings"])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 7, 11, 30])
+    def test_printed_vertex_lists_sorted(self, n, seed):
+        # vertices whose first coordinates agree to ~1e-16 used to be ordered
+        # by that noise: 2|3|4 on demo_spec(3, 7) printed them out of order
+        atlas = cf.export_atlas(cf.build_joint(cf.demo_spec(n, seed)), with_vertices=True)
+        obj = json.loads(atlas.dumps())
+        for vertices in [obj["outer"]["vertices"]] + [e["vertices"] for e in obj["layerings"]]:
+            assert vertices == sorted(vertices)
 
     def test_vertices_capped_at_three_relays(self):
         joint = cf.build_joint(cf.demo_spec(4, 0))

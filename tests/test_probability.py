@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+import weakref
 from functools import partial
 from itertools import combinations
 
@@ -376,7 +377,7 @@ class TestRestrict:
         base = set(relay_axes(full))
         left, right = full.restrict(base | {full.y(2)}), full.restrict(base | {full.y(3)})
         grandchild = left.restrict(base)
-        assert left._cache is full._cache and grandchild._cache is full._cache
+        assert left._family is full._family and grandchild._family is full._family
         pairs = [(a, b) for a in powerset(full.relays) for b in powerset(full.relays)]
         known = {(a, b): grandchild.relay_entropy(a, b) for a, b in pairs}
         known["x2yh3"] = left.entropy({left.x(2), left.yhat(3)})
@@ -435,6 +436,57 @@ class TestRestrict:
             for s, joint in joints.items():
                 assert abs(cf.boundary_rhs(joint, s) - cf.boundary_rhs(full, s)) <= 1e-12
                 assert abs(cf.mi_gap(joint, s) - cf.mi_gap(full, s)) <= 1e-12
+
+
+class TestFamily:
+    """A root and its restrictions share their tables: a sum reads the smallest live one."""
+
+    @pytest.mark.parametrize("asked", ["root", "relay", "sub"])
+    def test_relay_terms_summed_from_relay_restriction(self, summed_sizes, asked):
+        spec = cf.demo_spec(3, 7)
+        reference = cf.build_joint(spec)  # a family of its own
+        pairs = [(a, b) for a in powerset(reference.relays) for b in powerset(reference.relays)]
+        want = [reference.relay_entropy(a, b) for a, b in pairs]
+        want.append(reference.entropy({reference.x(2), reference.yhat(3)}))
+        root = cf.build_joint(spec)
+        base = set(relay_axes(root))
+        members = {"root": root, "relay": root.restrict(base),
+                   "sub": root.restrict(base | {root.y(2), root.y(3)})}
+        joint = members[asked]
+        summed_sizes.clear()
+        got = [joint.relay_entropy(a, b) for a, b in pairs]
+        got.append(joint.entropy({joint.x(2), joint.yhat(3)}))  # the generic path
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+        # one sum per query, every mask being new, each of the smallest table
+        assert summed_sizes == [members["relay"].table.size] * len(want)
+        assert members["relay"].table.size < min(root.table.size, members["sub"].table.size)
+
+    def test_dropped_restriction_is_freed(self, summed_sizes):
+        root = cf.build_joint(cf.demo_spec(3, 7))
+        child = root.restrict(relay_axes(root))
+        ref = weakref.ref(child)
+        del child
+        assert ref() is None
+        summed_sizes.clear()
+        root.relay_entropy({2}, {2})
+        assert summed_sizes == [root.table.size]
+
+    def test_equal_sizes_resolve_alike_on_every_run(self, monkeypatch):
+        summed_from = []
+        sum_to = cf.JointPmf._sum_to
+        monkeypatch.setattr(cf.JointPmf, "_sum_to",
+                            lambda self, mask: summed_from.append(self) or sum_to(self, mask))
+        picks = []
+        for _ in range(4):
+            root = cf.build_joint(cf.demo_spec(3, 7))
+            base = set(relay_axes(root))
+            left, right = root.restrict(base | {root.y(2)}), root.restrict(base | {root.y(4)})
+            assert left.table.size == right.table.size
+            summed_from.clear()
+            root.entropy({root.x(2), root.yhat(3)})  # held by both: the first registered
+            right.entropy({right.x(3), right.yhat(4)})  # ties go to the joint asked
+            picks.append([{id(left): "left", id(right): "right"}.get(id(s)) for s in summed_from])
+        assert picks == [["left", "right"]] * 4
 
 
 class TestEntropy:
@@ -640,12 +692,14 @@ class TestConcurrency:
 
         full = cf.build_joint(cf.demo_spec(3, 7))  # cold cache
         base = set(relay_axes(full))
-        joints = [full, full.restrict(base | {full.y(2)}), full.restrict(base | {full.y(4)})]
         pairs = [(a, b) for a in powerset(full.relays) for b in powerset(full.relays)]
 
         def query(k):
+            # two threads in three restrict while the others query: a pick must
+            # tolerate members registered or dropped mid-query
+            joint = full.restrict(base | {full.y(1 + k % 3)}) if k % 3 else full
             order = np.random.default_rng(k).permutation(len(pairs))
-            return {pairs[i]: joints[k % 3].relay_entropy(*pairs[i]) for i in order}
+            return {pairs[i]: joint.relay_entropy(*pairs[i]) for i in order}
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, mid-query
