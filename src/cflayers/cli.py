@@ -7,7 +7,9 @@ is printed at 12 significant digits.
 
 Each command returns its exit code, its JSON object and its text lines, the
 lines as a generator, so none is formatted for JSON output.  `main` writes
-one of the two, once, to `--out` or to stdout.
+one of the two, once, to `--out` or to stdout.  The object of `export` holds
+its layerings as an iterator, so each is computed as it is written, after
+every input check.
 """
 
 from __future__ import annotations
@@ -131,8 +133,7 @@ def cmd_solve(args) -> tuple:
 
 def cmd_export(args) -> tuple:
     joint = build_joint(load_spec(args.channel))
-    atlas = geometry.export_atlas(joint, with_vertices=args.vertices)
-    return EXIT_OK, atlas.to_json_obj(), None
+    return EXIT_OK, geometry.export_atlas_json(joint, with_vertices=args.vertices), None
 
 
 def cmd_demo(args) -> tuple:

@@ -105,6 +105,15 @@ class AtlasEntry:
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[tuple[float, ...], ...] | None
 
+    def to_json_obj(self) -> dict:
+        obj: dict = {
+            "layers": [sorted(layer) for layer in self.layering.layers],
+            "halfspaces": [hs.to_json_obj() for hs in self.halfspaces],
+        }
+        if self.vertices is not None:
+            obj["vertices"] = [[fmt12(v) for v in p] for p in self.vertices]
+        return obj
+
 
 @dataclass(frozen=True)
 class Atlas:
@@ -117,33 +126,32 @@ class Atlas:
     entries: tuple[AtlasEntry, ...]
 
     def to_json_obj(self) -> dict:
-        outer: dict = {"halfspaces": [hs.to_json_obj() for hs in self.outer]}
-        if self.outer_vertices is not None:
-            outer["vertices"] = [[fmt12(v) for v in p] for p in self.outer_vertices]
-        layerings = []
-        for e in self.entries:
-            obj: dict = {
-                "layers": [sorted(layer) for layer in e.layering.layers],
-                "halfspaces": [hs.to_json_obj() for hs in e.halfspaces],
-            }
-            if e.vertices is not None:
-                obj["vertices"] = [[fmt12(v) for v in p] for p in e.vertices]
-            layerings.append(obj)
-        return {
-            "channel_digest": self.channel_digest,
-            "dimension": len(self.relays),
-            "outer": outer,
-            "layerings": layerings,
-        }
+        return _atlas_json_obj(self.channel_digest, self.relays, self.outer, self.outer_vertices,
+                               [e.to_json_obj() for e in self.entries])
 
     def dump(self, fh) -> None:
-        """Write the JSON text to `fh` as it is encoded, without one big string."""
+        """Write the JSON text to `fh` as it is encoded, without one big string.
+
+        These are the bytes that `cflayers export` writes, which streams them
+        from `export_atlas_json` without building an `Atlas`."""
         write_json(self.to_json_obj(), fh)
 
     def dumps(self) -> str:
         buf = io.StringIO()
         self.dump(buf)
         return buf.getvalue()
+
+
+def _atlas_json_obj(digest: str, relays, outer, outer_vertices, layerings) -> dict:
+    outer_obj: dict = {"halfspaces": [hs.to_json_obj() for hs in outer]}
+    if outer_vertices is not None:
+        outer_obj["vertices"] = [[fmt12(v) for v in p] for p in outer_vertices]
+    return {
+        "channel_digest": digest,
+        "dimension": len(relays),
+        "outer": outer_obj,
+        "layerings": layerings,
+    }
 
 
 def channel_digest(joint: JointPmf) -> str:
@@ -154,8 +162,10 @@ def channel_digest(joint: JointPmf) -> str:
     return h.hexdigest()
 
 
-def export_atlas(joint: JointPmf, with_vertices: bool = False) -> Atlas:
-    """Build the full atlas; vertex lists require at most three relays."""
+def _atlas_parts(joint: JointPmf, with_vertices: bool):
+    """Check the inputs, then compute the outer region.  Returns its half-spaces,
+    its vertices (None without `with_vertices`) and an iterator that computes
+    each canonical layering's `AtlasEntry` when the next one is asked for."""
     relays = joint.relays
     layerings = enumerate_layerings(relays)  # too many relays raise before any rate cap
     if with_vertices and len(relays) > MAX_VERTEX_DIM:
@@ -163,21 +173,29 @@ def export_atlas(joint: JointPmf, with_vertices: bool = False) -> Atlas:
             f"vertices are available for up to {MAX_VERTEX_DIM} relays, got {len(relays)}"
         )
 
+    def vertices(halfspaces):
+        return tuple(enumerate_vertices(halfspaces, relays)) if with_vertices else None
+
+    def entries():
+        for layering in layerings:
+            halfspaces = h_rep(joint, layering)
+            yield AtlasEntry(layering, halfspaces, vertices(halfspaces))
+
     outer = outer_h_rep(joint)
-    outer_vertices = (
-        tuple(enumerate_vertices(outer, relays)) if with_vertices else None
-    )
-    entries = []
-    for layering in layerings:
-        halfspaces = h_rep(joint, layering)
-        vertices = (
-            tuple(enumerate_vertices(halfspaces, relays)) if with_vertices else None
-        )
-        entries.append(AtlasEntry(layering, halfspaces, vertices))
-    return Atlas(
-        channel_digest=channel_digest(joint),
-        relays=relays,
-        outer=outer,
-        outer_vertices=outer_vertices,
-        entries=tuple(entries),
-    )
+    return outer, vertices(outer), entries()
+
+
+def export_atlas(joint: JointPmf, with_vertices: bool = False) -> Atlas:
+    """Build the full atlas; vertex lists require at most three relays."""
+    outer, outer_vertices, entries = _atlas_parts(joint, with_vertices)
+    return Atlas(channel_digest(joint), joint.relays, outer, outer_vertices, tuple(entries))
+
+
+def export_atlas_json(joint: JointPmf, with_vertices: bool = False) -> dict:
+    """`export_atlas(joint, with_vertices).to_json_obj()` with its "layerings"
+    list as an iterator: `write_json` writes each layering's block as soon as
+    its caps are computed, so no entry or block of the atlas is held.  Every
+    input check, and the outer region, runs before this returns."""
+    outer, outer_vertices, entries = _atlas_parts(joint, with_vertices)
+    return _atlas_json_obj(channel_digest(joint), joint.relays, outer, outer_vertices,
+                           map(AtlasEntry.to_json_obj, entries))

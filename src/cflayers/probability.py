@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import threading
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,7 @@ from .errors import (
 NORMALIZATION_TOL = 1e-12
 MAX_TABLE_CELLS = 1 << 24
 ZERO_MASS = 1e-15  # probabilities at or below this count as exact zeros
+SUM_SLAB_CELLS = 1 << 16  # the most cells (512 KiB) a sum copies at a time
 
 
 @dataclass(frozen=True)
@@ -123,11 +126,43 @@ class ChannelSpec:
             write_json(self.to_json_obj(), fh)
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def write_json(obj, fh) -> None:
     """Write `obj` to `fh` as it is encoded: 2-space indent, sorted keys, one
-    final newline.  Every JSON document the package writes goes through here."""
-    json.dump(obj, fh, indent=2, sort_keys=True)
+    final newline.  Every JSON document the package writes goes through here.
+
+    An iterator, whether the document itself, a dict value or an item of
+    another iterator, is written as a list, each item encoded as the iterator
+    yields it, so the list is never held; the bytes are those of the same
+    document with the list built first."""
+    _write_json(obj, fh, "\n")
     fh.write("\n")
+
+
+def _write_json(obj, fh, newline: str) -> None:
+    """`obj` as it encodes at the nesting whose line breaks are `newline`."""
+    inner = newline + " " * _ENCODER.indent
+    if isinstance(obj, Iterator):
+        sep = "["
+        for item in obj:
+            fh.write(sep + inner)
+            _write_json(item, fh, inner)
+            sep = _ENCODER.item_separator
+        fh.write("[]" if sep == "[" else newline + "]")
+    elif isinstance(obj, dict) and any(isinstance(v, Iterator) for v in obj.values()):
+        sep = "{"
+        for key in sorted(obj):
+            fh.write(sep + inner + _ENCODER.encode(key) + _ENCODER.key_separator)
+            _write_json(obj[key], fh, inner)
+            sep = _ENCODER.item_separator
+        fh.write(newline + "}")
+    elif newline == "\n":
+        for chunk in _ENCODER.iterencode(obj):
+            fh.write(chunk)
+    else:  # one nested value, indented as a whole: a string never holds a raw line break
+        fh.write(_ENCODER.encode(obj).replace("\n", newline))
 
 
 def _as_table(raw, name: str) -> np.ndarray:
@@ -353,8 +388,19 @@ class JointPmf:
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
-        variables = tuple(variables)
-        table = np.asarray(table, dtype=float)
+        # a copy: the caller's array is neither frozen nor aliased
+        self._init(tuple(variables), np.array(table, dtype=float))
+
+    @classmethod
+    def _own(cls, variables: tuple[Variable, ...], table: np.ndarray) -> JointPmf:
+        """The joint of `table`, a float array that nothing else writes, such as
+        one the module just built or summed; checked as the constructor checks
+        it, but frozen in place rather than copied."""
+        joint = cls.__new__(cls)
+        joint._init(variables, np.ascontiguousarray(table))
+        return joint
+
+    def _init(self, variables: tuple[Variable, ...], table: np.ndarray) -> None:
         if table.shape != tuple(v.size for v in variables):
             raise InvalidSpecError("joint table shape does not match its variables")
         if np.any(table < -NORMALIZATION_TOL):
@@ -366,7 +412,6 @@ class JointPmf:
         factors = 2 * len(self._relays) + 2
         if not abs(mass - 1.0) <= NORMALIZATION_TOL * factors:  # NaN mass fails too
             raise InvalidSpecError(f"joint table mass is {mass!r}, not 1")
-        table = table.copy()
         table.setflags(write=False)
         self._table = table
         self._variables = variables
@@ -438,8 +483,44 @@ class JointPmf:
         return mask
 
     def _sum_to(self, mask: int) -> np.ndarray:
-        drop = tuple(i for i, bit in enumerate(self._bits) if not mask & bit)
-        return self._table.sum(axis=drop) if drop else self._table
+        """The table summed over every axis outside `mask`; the read-only table
+        itself when `mask` keeps every axis.
+
+        A view of the table orders its axes as two blocks, the kept axes and
+        the dropped ones, so that the sum runs along one contiguous axis: the
+        kept block goes inner when it has at least as many cells as the
+        dropped block, and outer otherwise.  The view is summed in slabs along
+        its leading axes, each copied to contiguous memory only when whole
+        rows are summed, so no copy holds more than SUM_SLAB_CELLS cells.
+        """
+        table = self._table
+        keep = [i for i, bit in enumerate(self._bits) if mask & bit]
+        if len(keep) == table.ndim:
+            return table
+        drop = [i for i, bit in enumerate(self._bits) if not mask & bit]
+        shape = tuple(table.shape[i] for i in keep)
+        kept = math.prod(shape)
+        dropped = table.size // kept
+        inner = kept >= dropped
+        view = table.transpose(drop + keep if inner else keep + drop)
+        lead, cells = 0, table.size  # a slab: view[idx] for idx over the `lead` leading axes
+        while cells > SUM_SLAB_CELLS:
+            cells //= view.shape[lead]
+            lead += 1
+        out = np.zeros(kept)  # the rows of the 2-D (dropped, kept) or (kept, dropped) view
+        for n, idx in enumerate(np.ndindex(view.shape[:lead])):
+            at, slab = n * cells, view[idx]
+            if inner and cells >= kept:  # whole rows, each as long as `out`
+                out += np.ascontiguousarray(slab).reshape(-1, kept).sum(axis=0)
+            elif inner:  # part of one row
+                part = out[at % kept:at % kept + cells].reshape(slab.shape)
+                part += slab
+            elif cells >= dropped:  # whole rows, each summed into one cell of `out`
+                rows = np.ascontiguousarray(slab).reshape(-1, dropped)
+                out[at // dropped:(at + cells) // dropped] = rows.sum(axis=1)
+            else:  # part of one row
+                out[at // dropped] += slab.sum()
+        return out.reshape(shape)
 
     def _entropy(self, mask: int, variables=None) -> float:
         # generic queries sum through the public `marginal`; relay queries do not
@@ -472,7 +553,7 @@ class JointPmf:
             raise IncompleteRestrictionError(
                 f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
             )
-        child = JointPmf(kept, self._family.smallest(self, mask)._sum_to(mask))
+        child = JointPmf._own(kept, self._family.smallest(self, mask)._sum_to(mask))
         # the same distribution, so one memo in one key space answers both
         child._bits, child._family = tuple(self._bits[i] for i in axes), self._family
         self._family.add(child)
@@ -566,7 +647,7 @@ def _build(spec: ChannelSpec, keep) -> JointPmf:
         args += [r.p_yhat, [a, a + 1, a + 2]]
     axes = [i for i, v in enumerate(variables) if keep(v)]
     table = np.einsum(*args, axes, optimize=len(axes) < len(variables))
-    return JointPmf(tuple(variables[i] for i in axes), table)
+    return JointPmf._own(tuple(variables[i] for i in axes), table)
 
 
 def build_joint(spec: ChannelSpec) -> JointPmf:

@@ -1,6 +1,7 @@
 """Exit codes, output formats, and determinism of the command-line front end."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -331,20 +332,53 @@ class TestExport:
         assert main(["export", "--channel", demo2_file]) == 0
         assert capsys.readouterr().out == out.read_text()
 
+    @pytest.mark.parametrize("n, vertices", [(1, False), (2, False), (3, False), (4, False),
+                                             (1, True), (2, True), (3, True)])
+    def test_streams_the_atlas_bytes(self, tmp_path, capsys, n, vertices):
+        path = tmp_path / "demo.json"
+        cf.demo_spec(n, 7).save(path)
+        assert main(["export", "--channel", str(path)] + ["--vertices"] * vertices) == 0
+        atlas = cf.export_atlas(cf.build_joint(cf.load_spec(path)), with_vertices=vertices)
+        assert capsys.readouterr().out == atlas.dumps()
+
+    def test_export_holds_no_atlas(self, tmp_path, monkeypatch):
+        path = tmp_path / "demo5.json"
+        cf.demo_spec(5, 7).save(path)
+        # what an export holds does not depend on how its caps are found, and the
+        # real caps of 541 layerings take 8 s under tracemalloc: each layering
+        # gets fresh copies of the outer half-spaces
+        outer = cf.outer_h_rep(cf.build_relay_joint(cf.load_spec(path)))
+        monkeypatch.setattr(cf.geometry, "h_rep", lambda joint, layering: tuple(
+            cf.HalfSpace(hs.subset, hs.rhs) for hs in outer))
+        tracemalloc.start()
+        try:
+            assert main(["export", "--channel", str(path), "--out", str(tmp_path / "a.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8.7 MiB with the whole atlas built before its first byte is written;
+        # 2.7 MiB streamed, most of it the spec and the 1 MiB joint
+        assert peak < 5 * 2**20
+
     def test_vertices_beyond_three_relays(self, tmp_path, capsys):
         path = tmp_path / "demo4.json"
         cf.demo_spec(4, 0).save(path)
-        code = main(["export", "--channel", str(path), "--vertices"])
-        assert code == 2
-        capsys.readouterr()
+        out = tmp_path / "atlas.json"
+        for to_file in ([], ["--out", str(out)]):
+            assert main(["export", "--channel", str(path), "--vertices"] + to_file) == 2
+            assert capsys.readouterr().out == ""
+        assert not out.exists()  # every input check runs before the first byte
 
     def test_seven_relays_exit_two_before_any_entropy(self, tmp_path, capsys, no_entropy):
         path = tmp_path / "seven.json"
         thin_spec(7).save(path)
-        assert main(["export", "--channel", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "7 relays exceeds the enumeration cap of 6" in captured.err
+        out = tmp_path / "atlas.json"
+        for to_file in ([], ["--out", str(out)]):
+            assert main(["export", "--channel", str(path)] + to_file) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "7 relays exceeds the enumeration cap of 6" in captured.err
+        assert not out.exists()
 
 
 class TestDemo:
@@ -408,13 +442,13 @@ class TestFloors:
         # is constructed or summed
         full_size = cf.build_joint(cf.demo_spec(3, 3)).table.size
         built = []
-        init = cf.JointPmf.__init__
+        init = cf.JointPmf._init  # every joint, built, restricted or constructed, passes here
 
         def counted(self, variables, table):
             built.append(table.size)
             init(self, variables, table)
 
-        monkeypatch.setattr(cf.JointPmf, "__init__", counted)
+        monkeypatch.setattr(cf.JointPmf, "_init", counted)
         assert main(["floors", "--channel", demo3_file, "--format", fmt]) == 0
         assert built and summed_sizes
         assert max(built + summed_sizes) == full_size // 2  # the X1-free joint

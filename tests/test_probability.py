@@ -1,5 +1,6 @@
 """Channel spec validation, joint construction, and the entropy engine."""
 
+import io
 import json
 import math
 import sys
@@ -489,6 +490,75 @@ class TestFamily:
         assert picks == [["left", "right"]] * 4
 
 
+def mixed_joint(rng, n_relays=2):
+    """A joint over X1, (Xi, Yi, Yhi) per relay and Yd, every alphabet of size 1-4,
+    with random positive mass."""
+    d = n_relays + 2
+    variables = [cf.Variable("x", 1, int(rng.integers(1, 5)))]
+    for node in range(2, d):
+        variables += [cf.Variable(kind, node, int(rng.integers(1, 5)))
+                      for kind in ("x", "y", "yhat")]
+    variables.append(cf.Variable("y", d, int(rng.integers(1, 5))))
+    table = rng.random(tuple(v.size for v in variables))
+    return cf.JointPmf(variables, table / table.sum())
+
+
+def kernel_masks(ndim):
+    """Empty, one kept axis, all but one, and kept axes interleaved with dropped ones."""
+    full = (1 << ndim) - 1
+    one = [1 << i for i in range(ndim)]
+    return [0] + one + [full & ~bit for bit in one] + [full // 3, full // 3 << 1]
+
+
+class TestSumTo:
+    """`_sum_to` sums one contiguous block per slab; numpy's multi-axis sum is the reference."""
+
+    # small slabs run every branch: parts of one row and runs of whole rows
+    @pytest.mark.parametrize("slab", [1, 5, 64, cf.probability.SUM_SLAB_CELLS])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_numpy_sum(self, monkeypatch, slab, seed):
+        monkeypatch.setattr(cf.probability, "SUM_SLAB_CELLS", slab)
+        joint = mixed_joint(np.random.default_rng(seed))
+        table = joint.table
+        for mask in kernel_masks(table.ndim):
+            drop = tuple(i for i in range(table.ndim) if not mask >> i & 1)
+            want = table.sum(axis=drop)
+            got = joint._sum_to(mask)
+            assert got.shape == want.shape  # 0-d for the empty mask
+            assert np.max(np.abs(got - want)) <= 1e-15 * table.size
+
+    def test_keep_all_returns_the_table(self):
+        joint = mixed_joint(np.random.default_rng(0))
+        assert joint._sum_to((1 << joint.table.ndim) - 1) is joint.table
+
+    @pytest.mark.parametrize("slab", [5, cf.probability.SUM_SLAB_CELLS])
+    def test_members_agree(self, monkeypatch, summed_sizes, slab):
+        monkeypatch.setattr(cf.probability, "SUM_SLAB_CELLS", slab)
+        spec = cf.demo_spec(3, 7)
+        reference = cf.build_joint(spec)  # a family of its own: every sum reads the root
+        root = cf.build_joint(spec)
+        relay = root.restrict(relay_axes(root))
+        pairs = [(a, b) for a in powerset(root.relays) for b in powerset(root.relays)]
+        summed_sizes.clear()
+        want = [reference.relay_entropy(a, b) for a, b in pairs]
+        got = [root.relay_entropy(a, b) for a, b in pairs]
+        assert set(summed_sizes) == {reference.table.size, relay.table.size}
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+
+    def test_copies_no_table(self):
+        joint = cf.build_joint(cf.demo_spec(6, 7))
+        mask = joint._mask(relay_axes(joint))
+        tracemalloc.start()
+        try:
+            out = joint._sum_to(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one slab's copy, its row sums and the result: at most two slabs, an eighth of the table
+        slab_bytes = 8 * cf.probability.SUM_SLAB_CELLS
+        assert out.nbytes < slab_bytes and peak <= 2 * slab_bytes <= joint.table.nbytes // 8
+
+
 class TestEntropy:
     def test_uniform_bit(self):
         joint = cf.build_joint(unit_spec())
@@ -725,6 +795,20 @@ class TestJson:
         for a, b in zip(back.relays, spec.relays):
             assert a.node == b.node
             assert np.allclose(a.p_yhat, b.p_yhat)
+
+    def test_iterators_written_as_lists(self):
+        plain = {"z": [{"k": [1, 2.5]}, {"k": []}], "a": {"x": [1, "two"], "y": {}},
+                 "m": [], "n": None}
+
+        def lazy():
+            return {"z": iter([{"k": iter([1, 2.5])}, {"k": iter([])}]),
+                    "a": {"x": iter([1, "two"]), "y": {}}, "m": iter([]), "n": None}
+
+        for want, got in [(plain, lazy()), ([plain, 3], iter([lazy(), 3])), ([], iter([]))]:
+            a, b = io.StringIO(), io.StringIO()
+            cf.probability.write_json(want, a)
+            cf.probability.write_json(got, b)
+            assert b.getvalue() == a.getvalue() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_ragged_table_rejected(self):
         obj = cf.demo_spec(1, 11).to_json_obj()
