@@ -163,9 +163,12 @@ def channel_digest(joint: JointPmf) -> str:
 
 
 def _atlas_parts(joint: JointPmf, with_vertices: bool):
-    """Check the inputs, then compute the outer region.  Returns its half-spaces,
-    its vertices (None without `with_vertices`) and an iterator that computes
-    each canonical layering's `AtlasEntry` when the next one is asked for."""
+    """Check the inputs, hash the joint, then compute the outer region.  Returns
+    the digest, the outer half-spaces, their vertices (None without
+    `with_vertices`) and an iterator that computes each canonical layering's
+    `AtlasEntry` when the next one is asked for.  Every cap is computed on the
+    joint's relay restriction, which is all the iterator holds: the joint
+    itself may be freed while the layerings are written."""
     relays = joint.relays
     layerings = enumerate_layerings(relays)  # too many relays raise before any rate cap
     if with_vertices and len(relays) > MAX_VERTEX_DIM:
@@ -176,19 +179,22 @@ def _atlas_parts(joint: JointPmf, with_vertices: bool):
     def vertices(halfspaces):
         return tuple(enumerate_vertices(halfspaces, relays)) if with_vertices else None
 
+    digest = channel_digest(joint)
+    relay = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
+
     def entries():
         for layering in layerings:
-            halfspaces = h_rep(joint, layering)
+            halfspaces = h_rep(relay, layering)
             yield AtlasEntry(layering, halfspaces, vertices(halfspaces))
 
-    outer = outer_h_rep(joint)
-    return outer, vertices(outer), entries()
+    outer = outer_h_rep(relay)
+    return digest, outer, vertices(outer), entries()
 
 
 def export_atlas(joint: JointPmf, with_vertices: bool = False) -> Atlas:
     """Build the full atlas; vertex lists require at most three relays."""
-    outer, outer_vertices, entries = _atlas_parts(joint, with_vertices)
-    return Atlas(channel_digest(joint), joint.relays, outer, outer_vertices, tuple(entries))
+    digest, outer, outer_vertices, entries = _atlas_parts(joint, with_vertices)
+    return Atlas(digest, joint.relays, outer, outer_vertices, tuple(entries))
 
 
 def export_atlas_json(joint: JointPmf, with_vertices: bool = False) -> dict:
@@ -196,6 +202,6 @@ def export_atlas_json(joint: JointPmf, with_vertices: bool = False) -> dict:
     list as an iterator: `write_json` writes each layering's block as soon as
     its caps are computed, so no entry or block of the atlas is held.  Every
     input check, and the outer region, runs before this returns."""
-    outer, outer_vertices, entries = _atlas_parts(joint, with_vertices)
-    return _atlas_json_obj(channel_digest(joint), joint.relays, outer, outer_vertices,
+    digest, outer, outer_vertices, entries = _atlas_parts(joint, with_vertices)
+    return _atlas_json_obj(digest, joint.relays, outer, outer_vertices,
                            map(AtlasEntry.to_json_obj, entries))

@@ -288,3 +288,28 @@ class TestRandomInstances:
             assert not trace.degenerate  # violator unions themselves violated
             assert cf.check_layered(joint, layering, rates).is_member
             assert layering in cf.brute_force_layering(joint, rates)
+
+
+class TestHardestTargets:
+    """Targets just inside each vertex of the outer region, where the layered
+    regions are tightest: (1 - delta) * v + delta * (mean of the vertices)."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_outer_vertex_is_reached(self, n):
+        longest = 0
+        for seed in (1, 7, 301):
+            joint = cf.build_relay_joint(cf.demo_spec(n, seed))
+            nodes = sorted(joint.relays)
+            vertices = np.array(cf.enumerate_vertices(cf.outer_h_rep(joint), nodes))
+            center = vertices.mean(axis=0)
+            for delta in (1e-2, 1e-4):
+                for vertex in vertices:
+                    target = (1 - delta) * vertex + delta * center
+                    rates = cf.RateVector(dict(zip(nodes, map(float, target))))
+                    layering, trace = cf.solve(joint, rates)
+                    assert trace.status == "achieved"
+                    for prev, nxt in zip(trace.steps, trace.steps[1:]):
+                        assert cf.verify_core(joint, nxt.layering, nxt.core, rates).certified
+                    assert layering in cf.brute_force_layering(joint, rates)
+                    longest = max(longest, trace.shifts)
+        print(f"{n} relays: at most {longest} shifts to a target next to an outer vertex")
