@@ -165,11 +165,14 @@ def _subset_joints(joint, s: frozenset, below: float = float("inf")):
 def cmd_floors(args) -> tuple:
     # no floor, cap or window term reads X1: the full joint is never built
     joint = _build(load_spec(args.channel), lambda v: v.label != "X1")
+    relays = joint.relay_set
+    # alive through the walk, so every term it holds is summed from its table
+    relay = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
     floors = region.compression_floor(joint)
-    gaps = {s: region.mi_gap(sub, s) for s, sub in _subset_joints(joint, joint.relay_set)}
+    gaps = {s: region.mi_gap(sub, s) for s, sub in _subset_joints(joint, relays)}
     entries = []
     consistent = True
-    for s, cap in region.region_caps(joint, None):
+    for s, cap in region.region_caps(relay, None):
         floor_sum = region.floor_sum(floors, s)
         window = cap - floor_sum
         ok = abs(window - gaps[s]) <= 1e-9

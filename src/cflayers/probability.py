@@ -15,10 +15,9 @@ computed quantity and are marginalized away at construction.
 
 All entropies are in bits.  Queries are pure and cached per variable set, so
 a `JointPmf` and its restrictions can be shared freely across threads.  A
-relay query, one inside (Xi, Yhi per relay, Yd), on a joint with more axes
-sums its full table once: that sum makes the relay table of 2^(2n+1) cells
-(n binary relays), which stays with the joint and its restrictions and
-answers every later relay query.
+`build_joint` joint sums its full table once more as it is built, to the
+2^(2n+1)-cell relay table (n binary relays) that it keeps, and answers every
+relay query from that table.
 """
 
 from __future__ import annotations
@@ -337,34 +336,19 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
     return issues
 
 
-def _is_relay_axis(v: Variable, d: int) -> bool:
-    """Whether `v` is a relay input, a relay compression or Yd: an axis of the
-    relay joint, which every rate cap term reads."""
-    return v.kind == "yhat" or (v.kind == "x" and v.node != 1) or (v.kind == "y" and v.node == d)
-
-
 class _Family:
     """What a root joint and its restrictions share: one entropy memo, keyed by
-    a mask with one bit per root variable, a record of the live members, and
-    the relay table once it is made.
+    a mask with one bit per root variable, and a record of the live members.
 
     Each member is recorded with the mask of its axes and a weak reference, in
     registration order, so the record never keeps a dropped restriction alive;
-    dead entries are pruned at the next pick.  The relay table is the joint
-    of the root's relay inputs, compressions and Yd.  The first pick of a mask
-    inside those axes for a member that holds more makes it, under the lock,
-    so once: the smallest live member that holds those axes, summed to them
-    unless it holds no more.  The family keeps it, and every later pick of
-    such a mask reads its 2^(2n+1) cells (n binary relays).
+    dead entries are pruned at the next pick.
     """
 
     def __init__(self, root: JointPmf):
         self.memo: dict[int, float] = {}
         self._members: list = []
         self._lock = threading.Lock()  # a restriction may register mid-pick
-        self._relay_mask = sum(bit for v, bit in zip(root._variables, root._bits)
-                               if _is_relay_axis(v, root.d))
-        self._relay: JointPmf | None = None
         self.add(root)
 
     def add(self, joint: JointPmf) -> None:
@@ -373,26 +357,18 @@ class _Family:
 
     def smallest(self, joint: JointPmf, mask: int) -> JointPmf:
         """The live member with the fewest cells whose axes hold `mask`; ties
-        go to `joint`, which holds it, then to the member registered first.
-        When `mask` lies inside the relay axes and `joint` holds more than
-        them, the relay table is made first, if it was not yet."""
-        relay, held = self._relay_mask, sum(joint._bits)
+        go to `joint`, which holds it, then to the member registered first."""
+        best = joint
         with self._lock:
-            live = [(axes, member) for axes, ref in self._members if (member := ref()) is not None]
-            if self._relay is None and not mask & ~relay and not relay & ~held and held != relay:
-                self._relay = _pick(live, joint, relay)
-                if sum(self._relay._bits) != relay:
-                    self._relay = self._relay._child(relay)
-                    live.append((relay, self._relay))
-            self._members = [(axes, weakref.ref(member)) for axes, member in live]
-            return _pick(live, joint, mask)
-
-
-def _pick(live: list, joint: JointPmf, mask: int) -> JointPmf:
-    """Of `joint` and the members of the (axes mask, member) pairs in `live`
-    that hold `mask`, the first with the fewest cells."""
-    holders = [joint] + [member for held, member in live if not mask & ~held]
-    return min(holders, key=lambda member: member._table.size)
+            live = []
+            for held, ref in self._members:
+                member = ref()
+                if member is not None:
+                    live.append((held, ref))
+                    if not mask & ~held and member._table.size < best._table.size:
+                        best = member
+            self._members = live
+        return best
 
 
 class JointPmf:
@@ -411,14 +387,9 @@ class JointPmf:
     on any member answers all of them, and a new one is summed from the
     smallest live member that holds its variables, whichever member was
     asked.  A dropped restriction is freed as usual.  The relays and Yd are
-    read off the kept axes, so every relay input and Yd must be kept.
-
-    The first relay query on a member with more axes than (Xi, Yhi per
-    relay, Yd) sums that member's full table once, to the relay table of
-    2^(2n+1) cells (n binary relays); the family keeps it, and every later
-    relay query, rate-cap term and restriction to those axes is summed from
-    it.  A restriction to exactly the variables of the member it would be
-    summed from is that member, summed from nothing.
+    read off the kept axes, so every relay input and Yd must be kept.  A
+    joint from `build_joint` holds its restriction to (Xi, Yhi per relay, Yd),
+    so each relay query sums that 2^(2n+1)-cell table, not the full one.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
@@ -537,9 +508,6 @@ class JointPmf:
         dropped = table.size // kept
         inner = kept >= dropped
         view = table.transpose(drop + keep if inner else keep + drop)
-        if table.size <= SUM_SLAB_CELLS:  # one slab of whole rows: the loop's sum, less its zeros
-            rows = np.ascontiguousarray(view).reshape((dropped, kept) if inner else (kept, dropped))
-            return rows.sum(axis=0 if inner else 1).reshape(shape)
         lead, cells = 0, table.size  # a slab: view[idx] for idx over the `lead` leading axes
         while cells > SUM_SLAB_CELLS:
             cells //= view.shape[lead]
@@ -566,7 +534,7 @@ class JointPmf:
         if cached is None:
             source = self._family.smallest(self, mask)
             marg = (source._sum_to(mask) if variables is None else source.marginal(variables)).ravel()
-            probs = marg if marg.min() > ZERO_MASS else marg[marg > ZERO_MASS]
+            probs = marg[marg > ZERO_MASS]
             terms = np.log2(probs)  # p log2 p in place: no third table-size array
             terms *= probs
             cached = memo.setdefault(mask, max(0.0, float(-np.sum(terms))))
@@ -582,27 +550,18 @@ class JointPmf:
         joint's family that holds them, and sharing that family's memo and tables;
         raises IncompleteRestrictionError unless they include every relay input and Yd."""
         mask = self._mask(variables)
-        kept = [v for v, bit in zip(self._variables, self._bits) if mask & bit]
+        axes = [i for i, bit in enumerate(self._bits) if mask & bit]
+        kept = tuple(self._variables[i] for i in axes)
         needed = [self.x(i) for i in self._relays] + [self.yd]
         dropped = [v.label for v in needed if v not in kept]
         if dropped:
             raise IncompleteRestrictionError(
                 f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
             )
-        source = self._family.smallest(self, mask)
-        if sum(source._bits) == mask:  # a member of exactly these variables: nothing to sum
-            return source
-        child = source._child(mask)
-        self._family.add(child)
-        return child
-
-    def _child(self, mask: int) -> JointPmf:
-        """The joint of this member's axes in `mask`, summed from its table, in
-        its family but not yet recorded there."""
-        axes = [i for i, bit in enumerate(self._bits) if mask & bit]
-        child = JointPmf._own(tuple(self._variables[i] for i in axes), self._sum_to(mask))
+        child = JointPmf._own(kept, self._family.smallest(self, mask)._sum_to(mask))
         # the same distribution, so one memo in one key space answers both
         child._bits, child._family = tuple(self._bits[i] for i in axes), self._family
+        self._family.add(child)
         return child
 
     def entropy(self, variables) -> float:
@@ -700,12 +659,18 @@ def build_joint(spec: ChannelSpec) -> JointPmf:
     """Multiply the spec's factors into the dense joint table over every variable.
 
     Raises InvalidSpecError when validation fails and TableTooLargeError when
-    the table would exceed MAX_TABLE_CELLS (2^24) entries.  The first relay
-    query sums this full table once, to the 2^(2n+1)-cell relay table that
-    stays with the joint and answers every later one; `build_relay_joint`
-    builds that table without the full one.
+    the table would exceed MAX_TABLE_CELLS (2^24) entries.
+
+    The joint keeps its restriction to (Xi, Yhi per relay, Yd), summed here
+    from the full table once: 2^(2n+1) cells at n binary relays, against
+    2^(3n+2).  It is the smallest member of the family that holds any relay
+    query, so every rate cap term and shift decision is summed from it;
+    `build_relay_joint` builds that table alone, without the full one.
     """
-    return _build(spec, lambda v: True)
+    joint = _build(spec, lambda v: True)
+    relays = joint.relays
+    joint._relay_joint = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
+    return joint
 
 
 def build_relay_joint(spec: ChannelSpec) -> JointPmf:
@@ -714,9 +679,8 @@ def build_relay_joint(spec: ChannelSpec) -> JointPmf:
     Every rate cap, staged h-term and shift decision reads only these axes.
     X1 and every Yi are summed out inside the build (`_build`), so the full
     table is never built; the spec checks and the cell cap are those of
-    `build_joint`.  This is the 2^(2n+1)-cell table (n binary relays) that a
-    `build_joint` joint makes at its first relay query and keeps; here every
-    relay query sums it from the start.  The joint has no X1 or Yi, so `x1`,
-    `y(i)`, `source_rate` and the floors raise UnknownVariableError on it.
+    `build_joint`, which keeps a joint of these axes summed from its full
+    table.  The joint has no X1 or Yi, so `x1`, `y(i)`, `source_rate`
+    and the floors raise UnknownVariableError on it.
     """
-    return _build(spec, lambda v: _is_relay_axis(v, spec.d))
+    return _build(spec, lambda v: v.label != "X1" and (v.kind != "y" or v.node == spec.d))

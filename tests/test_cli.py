@@ -441,6 +441,7 @@ class TestFloors:
         # X1 is summed out inside the build: no table of the full joint's size
         # is constructed or summed
         full_size = cf.build_joint(cf.demo_spec(3, 3)).table.size
+        summed_sizes.clear()  # the sum of that table to the relay table it keeps
         built = []
         init = cf.JointPmf._init  # every joint, built, restricted or constructed, passes here
 

@@ -1,11 +1,9 @@
 """Channel spec validation, joint construction, and the entropy engine."""
 
-import gc
 import io
 import json
 import math
 import sys
-import threading
 import tracemalloc
 import weakref
 from functools import partial
@@ -370,14 +368,10 @@ class TestRestrict:
         got = {(a, b): joint.relay_entropy(a, b) for a, b in pairs}
         got["x2y2"] = joint.entropy({joint.x(2), joint.y(2)})
         assert got == known and summed_sizes == []
-        # a set the parent never answered, inside the relay axes, is summed from
-        # the family's relay table, which is smaller than the child's own
-        h = joint.entropy({joint.x(2)})
-        assert summed_sizes == [2 ** 7] and joint.table.size == 2 ** 8
-        assert abs(h - full.entropy({full.x(2)})) <= 1e-12
-        # one outside them, from the child's own table
-        joint.entropy({joint.y(2)})
-        assert summed_sizes == [2 ** 7, joint.table.size]
+        # a set the parent never answered is summed from the child's own table
+        h = joint.entropy({joint.y(2)})
+        assert summed_sizes == [joint.table.size]
+        assert abs(h - full.entropy({full.y(2)})) <= 1e-12
 
     def test_parent_and_sibling_share_the_memo(self, summed_sizes):
         full = cf.build_joint(cf.demo_spec(3, 7))
@@ -457,18 +451,16 @@ class TestFamily:
         want.append(reference.entropy({reference.x(2), reference.yhat(3)}))
         root = cf.build_joint(spec)
         base = set(relay_axes(root))
-        sub = root.restrict(base | {root.y(2), root.y(3)})
-        joint = sub.restrict(base) if asked == "relay" else {"root": root, "sub": sub}[asked]
+        members = {"root": root, "relay": root.restrict(base),
+                   "sub": root.restrict(base | {root.y(2), root.y(3)})}
+        joint = members[asked]
         summed_sizes.clear()
         got = [joint.relay_entropy(a, b) for a, b in pairs]
         got.append(joint.entropy({joint.x(2), joint.yhat(3)}))  # the generic path
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
-        # one sum per query, every mask being new, each of the 2^7-cell relay table;
-        # asked of a larger member, the first query sums that table from the
-        # smallest member holding it, the sub joint of 2^9 cells, and the family keeps it
-        made = [] if asked == "relay" else [sub.table.size]
-        assert summed_sizes == made + [2 ** 7] * len(want)
-        assert (root.table.size, sub.table.size) == (2 ** 11, 2 ** 9)
+        # one sum per query, every mask being new, each of the smallest table
+        assert summed_sizes == [members["relay"].table.size] * len(want)
+        assert members["relay"].table.size < min(root.table.size, members["sub"].table.size)
 
     def test_dropped_restriction_is_freed(self, summed_sizes):
         root = cf.build_joint(cf.demo_spec(3, 7))
@@ -477,9 +469,8 @@ class TestFamily:
         del child
         assert ref() is None
         summed_sizes.clear()
-        root.relay_entropy({2}, {2})
-        # the relay table is summed from the root, the only member left, then read
-        assert summed_sizes == [root.table.size, 2 ** 7]
+        root.entropy({root.y(2)})  # held by the child, not by the relay table
+        assert summed_sizes == [root.table.size]
 
     def test_equal_sizes_resolve_alike_on_every_run(self, monkeypatch):
         summed_from = []
@@ -490,8 +481,8 @@ class TestFamily:
         for _ in range(4):
             root = cf.build_joint(cf.demo_spec(3, 7))
             base = set(relay_axes(root))
-            # masks inside the relay axes are read from the relay table, so the tie
-            # is on masks with Y3, which both hold
+            # the kept relay table holds every mask inside the relay axes, so the
+            # tie is on masks with Y3, which both hold
             left = root.restrict(base | {root.y(2), root.y(3)})
             right = root.restrict(base | {root.y(3), root.y(4)})
             assert left.table.size == right.table.size
@@ -501,73 +492,43 @@ class TestFamily:
             picks.append([{id(left): "left", id(right): "right"}.get(id(s)) for s in summed_from])
         assert picks == [["left", "right"]] * 4
 
-    def test_cold_full_joint_sums_its_table_once(self, summed_sizes):
+
+class TestKeptRelayTable:
+    """`build_joint` sums its table once to the relay table it keeps, and every
+    relay query of it or of its restrictions is summed from that table."""
+
+    def test_cold_check_and_solve_sum_the_full_table_once(self, summed_sizes):
         spec = cf.demo_spec(6, 7)
         relay = cf.build_relay_joint(spec)  # a family of its own
         caps = cf.region.region_caps(relay, None)
         # relay 2 near its largest rate, the others small: solve shifts twice
         top = 0.99 * min(cap - 1e-5 * (len(s) - 1) for s, cap in caps if 2 in s)
         rates = cf.RateVector({i: top if i == 2 else 1e-5 for i in relay.relays})
-        joint = cf.build_joint(spec)
         summed_sizes.clear()
+        joint = cf.build_joint(spec)
         report = cf.check_outer(joint, rates)
         layering, trace = cf.solve(joint, rates)
         assert report.is_member and trace.status == "achieved" and trace.shifts == 2
-        assert summed_sizes[0] == joint.table.size == 2 ** 20
-        assert max(summed_sizes[1:]) <= 2 ** 13 and len(summed_sizes) > 1
+        assert summed_sizes[0] == joint.table.size == 2 ** 20  # made as the joint is built
+        assert max(summed_sizes[1:]) == 2 ** 13 == relay.table.size
         assert max(abs(e.rhs - cap) for e, (_, cap) in zip(report.entries, caps)) <= 1e-12
 
-    def test_restrict_to_relay_axes_sums_nothing_once_kept(self, summed_sizes):
+    def test_restrictions_sum_from_it(self, summed_sizes):
         root = cf.build_joint(cf.demo_spec(3, 7))
-        h = root.relay_entropy({2, 3}, {4})
+        sub = root.restrict(v for v in root.variables if v != root.x1)
         summed_sizes.clear()
         relay = root.restrict(relay_axes(root))
+        h = sub.relay_entropy({2, 3}, {4})
+        assert summed_sizes == [2 ** 7] * 2 and relay.table.size == 2 ** 7
         assert relay.relay_entropy({2, 3}, {4}) == h
-        assert summed_sizes == [] and relay.table.size == 2 ** 7
 
-    def test_kept_table_dies_with_its_family(self):
+    def test_it_dies_with_its_joint(self):
         root = cf.build_joint(cf.demo_spec(3, 7))
-        root.relay_entropy({2}, {2})
-        kept = weakref.ref(root.restrict(relay_axes(root)))
-        table = weakref.ref(root.table)
-        gc.collect()
-        assert kept() is not None  # held by the family, not by a caller
+        kept = weakref.ref(root._relay_joint)
+        assert kept().table.size == 2 ** 7
         del root
-        assert table() is None  # the family holds no root
-        gc.collect()
-        assert kept() is None
+        assert kept() is None  # freed at once: no cycle holds it
 
-    def test_threads_make_one_kept_table(self, summed_sizes):
-        from concurrent.futures import ThreadPoolExecutor
-
-        reference = cf.build_joint(cf.demo_spec(3, 7))
-        pairs = [(a, b) for a in powerset(reference.relays) for b in powerset(reference.relays)]
-        want = [reference.relay_entropy(a, b) for a, b in pairs]
-        root = cf.build_joint(cf.demo_spec(3, 7))  # cold
-        base = relay_axes(root)
-        threads = 4  # more than the cores of a small runner
-        start = threading.Barrier(threads)
-
-        def query(seed):
-            order = np.random.default_rng(seed).permutation(len(pairs))
-            start.wait(timeout=60)
-            got = {k: root.relay_entropy(*pairs[k]) for k in order}
-            return [got[k] for k in range(len(pairs))], root.restrict(base)
-
-        summed_sizes.clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, mid-query
-        try:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(query, range(threads), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(results) == threads
-        for got, kept in results:
-            assert got == results[0][0] and kept is results[0][1]
-        assert max(abs(g - w) for g, w in zip(results[0][0], want)) <= 1e-12
-        assert results[0][1].table.size == 2 ** 7
-        assert summed_sizes.count(root.table.size) == 1  # the relay table, summed once
 
 def mixed_joint(rng, n_relays=2):
     """A joint over X1, (Xi, Yi, Yhi) per relay and Yd, every alphabet of size 1-4,
@@ -614,8 +575,9 @@ class TestSumTo:
     def test_members_agree(self, monkeypatch, summed_sizes, slab):
         monkeypatch.setattr(cf.probability, "SUM_SLAB_CELLS", slab)
         spec = cf.demo_spec(3, 7)
-        reference = cf.build_joint(spec)  # a family of its own: every sum reads the root
         root = cf.build_joint(spec)
+        # a family of its own that keeps no relay table: every sum reads its table
+        reference = cf.JointPmf(root.variables, root.table)
         relay = root.restrict(relay_axes(root))
         pairs = [(a, b) for a in powerset(root.relays) for b in powerset(root.relays)]
         summed_sizes.clear()

@@ -308,8 +308,8 @@ class TestHardestTargets:
                     rates = cf.RateVector(dict(zip(nodes, map(float, target))))
                     layering, trace = cf.solve(joint, rates)
                     assert trace.status == "achieved"
-                    for prev, nxt in zip(trace.steps, trace.steps[1:]):
-                        assert cf.verify_core(joint, nxt.layering, nxt.core, rates).certified
+                    for step in trace.steps:
+                        assert cf.verify_core(joint, step.layering, step.core, rates).certified
                     assert layering in cf.brute_force_layering(joint, rates)
                     longest = max(longest, trace.shifts)
         print(f"{n} relays: at most {longest} shifts to a target next to an outer vertex")
