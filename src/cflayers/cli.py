@@ -132,7 +132,9 @@ def cmd_solve(args) -> tuple:
 
 
 def cmd_export(args) -> tuple:
-    joint = build_joint(load_spec(args.channel))
+    spec = load_spec(args.channel)
+    geometry.check_atlas_limits(spec.relays, args.vertices)  # before any table is built
+    joint = build_joint(spec)
     return EXIT_OK, geometry.export_atlas_json(joint, with_vertices=args.vertices), None
 
 

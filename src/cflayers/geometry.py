@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionTooHighError
-from .layering import Layering, enumerate_layerings
+from .layering import Layering, check_enumerable, enumerate_layerings
 from .probability import JointPmf, write_json
 from .region import fmt12, region_caps
 
@@ -162,6 +162,17 @@ def channel_digest(joint: JointPmf) -> str:
     return h.hexdigest()
 
 
+def check_atlas_limits(relays, with_vertices: bool) -> None:
+    """Raise as an atlas of `relays` would, so a caller can check before it
+    builds a table: TooManyRelaysError above MAX_ENUM_RELAYS relays, then,
+    with vertices, DimensionTooHighError above MAX_VERTEX_DIM relays."""
+    check_enumerable(relays)
+    if with_vertices and len(relays) > MAX_VERTEX_DIM:
+        raise DimensionTooHighError(
+            f"vertices are available for up to {MAX_VERTEX_DIM} relays, got {len(relays)}"
+        )
+
+
 def _atlas_parts(joint: JointPmf, with_vertices: bool):
     """Check the inputs, hash the joint, then compute the outer region.  Returns
     the digest, the outer half-spaces, their vertices (None without
@@ -170,11 +181,8 @@ def _atlas_parts(joint: JointPmf, with_vertices: bool):
     joint's relay restriction, which is all the iterator holds: the joint
     itself may be freed while the layerings are written."""
     relays = joint.relays
-    layerings = enumerate_layerings(relays)  # too many relays raise before any rate cap
-    if with_vertices and len(relays) > MAX_VERTEX_DIM:
-        raise DimensionTooHighError(
-            f"vertices are available for up to {MAX_VERTEX_DIM} relays, got {len(relays)}"
-        )
+    check_atlas_limits(relays, with_vertices)  # before any rate cap
+    layerings = enumerate_layerings(relays)
 
     def vertices(halfspaces):
         return tuple(enumerate_vertices(halfspaces, relays)) if with_vertices else None

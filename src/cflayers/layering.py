@@ -138,6 +138,15 @@ def compact(layering: Layering) -> Layering:
     return Layering(tuple(layers) if layers else (frozenset(),))
 
 
+def check_enumerable(relays) -> None:
+    """Raise TooManyRelaysError above MAX_ENUM_RELAYS relays, whose layerings
+    are too many to enumerate."""
+    if len(relays) > MAX_ENUM_RELAYS:
+        raise TooManyRelaysError(
+            f"{len(relays)} relays exceeds the enumeration cap of {MAX_ENUM_RELAYS}"
+        )
+
+
 def enumerate_layerings(relays) -> list[Layering]:
     """All ordered set partitions of `relays`, no empty layers.
 
@@ -146,9 +155,8 @@ def enumerate_layerings(relays) -> list[Layering]:
     number of |relays|, so above MAX_ENUM_RELAYS relays this raises, before
     it sorts (`cflayers layerings --count` passes a range of any length).
     """
+    check_enumerable(relays)
     n = len(relays)
-    if n > MAX_ENUM_RELAYS:
-        raise TooManyRelaysError(f"{n} relays exceeds the enumeration cap of {MAX_ENUM_RELAYS}")
     nodes = sorted(relays)
     out = []
     for k in range(1, n + 1):

@@ -15,9 +15,8 @@ computed quantity and are marginalized away at construction.
 
 All entropies are in bits.  Queries are pure and cached per variable set, so
 a `JointPmf` and its restrictions can be shared freely across threads.  A
-`build_joint` joint sums its full table once more as it is built, to the
-2^(2n+1)-cell relay table (n binary relays) that it keeps, and answers every
-relay query from that table.
+`build_joint` joint keeps the 2^(2n+1)-cell relay table (n binary relays) of
+`build_relay_joint` and answers every relay query from that table.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import threading
 import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -129,43 +129,91 @@ class ChannelSpec:
             write_json(self.to_json_obj(), fh)
 
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
-
-
 def write_json(obj, fh) -> None:
-    """Write `obj` to `fh` as it is encoded: 2-space indent, sorted keys, one
-    final newline.  Every JSON document the package writes goes through here.
+    """Write `obj` to `fh` as the text of `json.dumps(obj, indent=2,
+    sort_keys=True)` plus one final newline, byte for byte.  Every JSON
+    document the package writes goes through here.
 
-    An iterator, whether the document itself, a dict value or an item of
-    another iterator, is written as a list, each item encoded as the iterator
-    yields it, so the list is never held; the bytes are those of the same
-    document with the list built first."""
-    _write_json(obj, fh, "\n")
-    fh.write("\n")
+    Dicts with str keys, lists, tuples, str, int, float (NaN and the
+    infinities as `json` spells them), bool and None are encoded, subclasses
+    too.  An iterator, at any depth, is written as a list, each item encoded
+    and handed to `fh` as the iterator yields it, so the list is never held.
+    The text goes to `fh` in pieces as it is encoded, so it is never held
+    whole either.  Any other value, such as a set, and any dict key that is
+    not a str raise TypeError; what was written before the error is a prefix
+    of what `json.dump` writes for the same value."""
+    out: list[str] = []
+    _emit(obj, out, fh, "\n")
+    out.append("\n")
+    fh.write("".join(out))
 
 
-def _write_json(obj, fh, newline: str) -> None:
-    """`obj` as it encodes at the nesting whose line breaks are `newline`."""
-    inner = newline + " " * _ENCODER.indent
-    if isinstance(obj, Iterator):
-        sep = "["
+_FLUSH_PARTS = 1 << 10  # pieces of text `_emit` holds before it writes them
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+_SCALARS = {  # type -> text, bool before its base int; `json` writes subclasses as their base
+    bool: lambda b: "true" if b else "false",
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    type(None): lambda _: "null",
+}
+
+
+def _emit(obj, out: list, fh, newline: str) -> None:
+    """Append the text of `obj`, nested where line breaks are `newline`, to
+    `out`, and write `out` to `fh` once it holds more than _FLUSH_PARTS pieces;
+    an iterator's items are written one by one."""
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        head = "{" + inner
+        for key in sorted(obj):  # `_quote` raises TypeError on a key that is not a str
+            item = obj[key]
+            scalar = _SCALARS.get(type(item))  # a scalar is appended here, not in a call
+            if scalar is not None:
+                out.append(head + _quote(key) + ": " + scalar(item))
+            else:
+                out.append(head + _quote(key) + ": ")
+                _emit(item, out, fh, inner)
+            head = sep
+        out.append(newline + "}" if head is sep else "{}")
+    elif isinstance(obj, (list, tuple, Iterator)):
+        streamed = not isinstance(obj, (list, tuple))
+        if not streamed and obj and all(type(x) is float for x in obj):
+            text = sep.join(map(float.__repr__, obj))
+            if "n" in text:  # only a non-finite float spells an "n"
+                text = sep.join(map(_float_text, obj))
+            out.append("[" + inner + text + newline + "]")
+            return
+        head = "[" + inner
         for item in obj:
-            fh.write(sep + inner)
-            _write_json(item, fh, inner)
-            sep = _ENCODER.item_separator
-        fh.write("[]" if sep == "[" else newline + "]")
-    elif isinstance(obj, dict) and any(isinstance(v, Iterator) for v in obj.values()):
-        sep = "{"
-        for key in sorted(obj):
-            fh.write(sep + inner + _ENCODER.encode(key) + _ENCODER.key_separator)
-            _write_json(obj[key], fh, inner)
-            sep = _ENCODER.item_separator
-        fh.write(newline + "}")
-    elif newline == "\n":
-        for chunk in _ENCODER.iterencode(obj):
-            fh.write(chunk)
-    else:  # one nested value, indented as a whole: a string never holds a raw line break
-        fh.write(_ENCODER.encode(obj).replace("\n", newline))
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                out.append(head + scalar(item))
+            else:
+                out.append(head)
+                _emit(item, out, fh, inner)
+            if streamed:
+                fh.write("".join(out))
+                out.clear()
+            head = sep
+        out.append(newline + "]" if head is sep else "[]")
+    else:
+        base = next((kind for kind in _SCALARS if isinstance(obj, kind)), None)
+        if base is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out.append(_SCALARS[base](obj))
+        return
+    if len(out) > _FLUSH_PARTS:
+        fh.write("".join(out))
+        out.clear()
 
 
 def _as_table(raw, name: str) -> np.ndarray:
@@ -534,7 +582,7 @@ class JointPmf:
         if cached is None:
             source = self._family.smallest(self, mask)
             marg = (source._sum_to(mask) if variables is None else source.marginal(variables)).ravel()
-            probs = marg[marg > ZERO_MASS]
+            probs = marg if marg.min() > ZERO_MASS else marg[marg > ZERO_MASS]  # copies only to drop
             terms = np.log2(probs)  # p log2 p in place: no third table-size array
             terms *= probs
             cached = memo.setdefault(mask, max(0.0, float(-np.sum(terms))))
@@ -549,7 +597,11 @@ class JointPmf:
         """The joint of `variables` alone, summed from the smallest live member of this
         joint's family that holds them, and sharing that family's memo and tables;
         raises IncompleteRestrictionError unless they include every relay input and Yd."""
-        mask = self._mask(variables)
+        return self._restrict(self._mask(variables))
+
+    def _restrict(self, mask: int, table: np.ndarray | None = None) -> JointPmf:
+        """`restrict` to the variables in `mask`, whose table is `table` when
+        given: the family's distribution, already summed to them."""
         axes = [i for i, bit in enumerate(self._bits) if mask & bit]
         kept = tuple(self._variables[i] for i in axes)
         needed = [self.x(i) for i in self._relays] + [self.yd]
@@ -558,7 +610,9 @@ class JointPmf:
             raise IncompleteRestrictionError(
                 f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
             )
-        child = JointPmf._own(kept, self._family.smallest(self, mask)._sum_to(mask))
+        if table is None:
+            table = self._family.smallest(self, mask)._sum_to(mask)
+        child = JointPmf._own(kept, table)
         # the same distribution, so one memo in one key space answers both
         child._bits, child._family = tuple(self._bits[i] for i in axes), self._family
         self._family.add(child)
@@ -661,15 +715,15 @@ def build_joint(spec: ChannelSpec) -> JointPmf:
     Raises InvalidSpecError when validation fails and TableTooLargeError when
     the table would exceed MAX_TABLE_CELLS (2^24) entries.
 
-    The joint keeps its restriction to (Xi, Yhi per relay, Yd), summed here
-    from the full table once: 2^(2n+1) cells at n binary relays, against
-    2^(3n+2).  It is the smallest member of the family that holds any relay
-    query, so every rate cap term and shift decision is summed from it;
-    `build_relay_joint` builds that table alone, without the full one.
+    The joint keeps its restriction to (Xi, Yhi per relay, Yd), the table of
+    `build_relay_joint`: 2^(2n+1) cells at n binary relays, against 2^(3n+2).
+    It is the smallest member of the family that holds any relay query, so
+    every rate cap term and shift decision is summed from it, bit for bit as
+    on `build_relay_joint`; the full table is never summed to it.
     """
     joint = _build(spec, lambda v: True)
-    relays = joint.relays
-    joint._relay_joint = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
+    relay = build_relay_joint(spec)
+    joint._relay_joint = joint._restrict(joint._mask(relay.variables), relay.table)
     return joint
 
 
@@ -679,8 +733,8 @@ def build_relay_joint(spec: ChannelSpec) -> JointPmf:
     Every rate cap, staged h-term and shift decision reads only these axes.
     X1 and every Yi are summed out inside the build (`_build`), so the full
     table is never built; the spec checks and the cell cap are those of
-    `build_joint`, which keeps a joint of these axes summed from its full
-    table.  The joint has no X1 or Yi, so `x1`, `y(i)`, `source_rate`
-    and the floors raise UnknownVariableError on it.
+    `build_joint`, which keeps this table.  The joint has no X1 or Yi, so
+    `x1`, `y(i)`, `source_rate` and the floors raise UnknownVariableError
+    on it.
     """
     return _build(spec, lambda v: v.label != "X1" and (v.kind != "y" or v.node == spec.d))

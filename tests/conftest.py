@@ -105,6 +105,17 @@ def no_full_joint(monkeypatch):
 
 
 @pytest.fixture
+def no_table(monkeypatch):
+    """Fail any joint built from a spec, by any builder or the CLI, while the test runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a joint table was built")
+
+    monkeypatch.setattr(cf.probability, "_build", refuse)
+    monkeypatch.setattr(cf.cli, "_build", refuse)
+
+
+@pytest.fixture
 def summed_sizes(monkeypatch):
     """The size of every table a marginal is summed from while the test runs, in order."""
     sizes = []

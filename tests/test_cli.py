@@ -360,16 +360,19 @@ class TestExport:
         # 2.7 MiB streamed, most of it the spec and the 1 MiB joint
         assert peak < 5 * 2**20
 
-    def test_vertices_beyond_three_relays(self, tmp_path, capsys):
+    def test_vertices_beyond_three_relays(self, tmp_path, capsys, no_table):
         path = tmp_path / "demo4.json"
         cf.demo_spec(4, 0).save(path)
         out = tmp_path / "atlas.json"
         for to_file in ([], ["--out", str(out)]):
             assert main(["export", "--channel", str(path), "--vertices"] + to_file) == 2
-            assert capsys.readouterr().out == ""
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "vertices are available for up to 3 relays, got 4" in captured.err
         assert not out.exists()  # every input check runs before the first byte
 
-    def test_seven_relays_exit_two_before_any_entropy(self, tmp_path, capsys, no_entropy):
+    def test_seven_relays_exit_two_before_any_entropy(self, tmp_path, capsys, no_entropy,
+                                                       no_table):
         path = tmp_path / "seven.json"
         thin_spec(7).save(path)
         out = tmp_path / "atlas.json"
@@ -379,6 +382,15 @@ class TestExport:
             assert captured.out == ""
             assert "7 relays exceeds the enumeration cap of 6" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("vertices", [False, True])
+    def test_limits_come_before_validation(self, tmp_path, capsys, no_table, vertices):
+        obj = thin_spec(7).to_json_obj()
+        obj["source"]["p_x1"] = [0.5, 0.25]  # sums to 3/4: a table would refuse it
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps(obj))
+        assert main(["export", "--channel", str(path)] + ["--vertices"] * vertices) == 2
+        assert "7 relays exceeds the enumeration cap of 6" in capsys.readouterr().err
 
 
 class TestDemo:

@@ -165,6 +165,21 @@ class TestAtlas:
         with pytest.raises(cf.DimensionTooHighError):
             cf.export_atlas(joint, with_vertices=True)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 7, 301])
+    def test_rhs_equal_the_check_rhs(self, n, seed):
+        # the exported caps come from the relay table that `check` builds, bit for bit
+        spec = cf.demo_spec(n, seed)
+        atlas = cf.export_atlas(cf.build_joint(spec))
+        relay = cf.build_relay_joint(spec)
+        rates = cf.RateVector({i: 0.0 for i in relay.relays})
+        for layering, halfspaces in [(None, atlas.outer)] + [
+                (e.layering, e.halfspaces) for e in atlas.entries]:
+            report = (cf.check_outer(relay, rates) if layering is None
+                      else cf.check_layered(relay, layering, rates))
+            assert [hs.rhs for hs in halfspaces] == [e.rhs for e in report.entries]
+            assert [hs.subset for hs in halfspaces] == [e.subset for e in report.entries]
+
     @pytest.mark.parametrize("with_vertices", [False, True])
     def test_relay_cap_before_any_entropy(self, seven_relays, no_entropy, with_vertices):
         with pytest.raises(cf.TooManyRelaysError, match="enumeration cap of 6"):

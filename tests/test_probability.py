@@ -11,11 +11,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cflayers as cf
 
 from _oracle import brute_force_joint, cond_entropy, entropy, mutual_info, variable_labels
 from conftest import random_spec, random_subset, thin_spec
+
+ZERO = cf.probability.ZERO_MASS
 
 # Frozen oracle values for the seed-7 two-relay demo channel (direct-summation
 # brute force over all 256 assignments).
@@ -112,6 +116,39 @@ def cut_short(obj, depth):
     for _ in range(depth - 1):
         rows = rows[-1]
     rows[-1] = rows[-1][:1]
+
+
+# Values `write_json` encodes: every JSON scalar, str-keyed dicts, lists and tuples,
+# and lists of floats alone, which it joins in one piece.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**100, 2**100) | st.floats()
+                | st.text(st.characters(codec=None), max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.floats(), max_size=4),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24,
+)
+JSON_PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+def lazy_lists(value, pick):
+    """`value` with each list or tuple that `pick()` is true for, at any depth, an iterator."""
+    if isinstance(value, dict):
+        return {k: lazy_lists(v, pick) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [lazy_lists(v, pick) for v in value]
+        return iter(items) if pick() else type(value)(items)
+    return value
+
+
+def stdlib_text(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def written(value):
+    buf = io.StringIO()
+    cf.probability.write_json(value, buf)
+    return buf.getvalue()
 
 
 # Spec tables whose entries are no JSON numbers or do not line up, each with the table named.
@@ -494,10 +531,10 @@ class TestFamily:
 
 
 class TestKeptRelayTable:
-    """`build_joint` sums its table once to the relay table it keeps, and every
-    relay query of it or of its restrictions is summed from that table."""
+    """`build_joint` keeps the relay table that `build_relay_joint` builds, and
+    every relay query of it or of its restrictions is summed from that table."""
 
-    def test_cold_check_and_solve_sum_the_full_table_once(self, summed_sizes):
+    def test_cold_check_and_solve_never_sum_the_full_table(self, summed_sizes):
         spec = cf.demo_spec(6, 7)
         relay = cf.build_relay_joint(spec)  # a family of its own
         caps = cf.region.region_caps(relay, None)
@@ -509,9 +546,8 @@ class TestKeptRelayTable:
         report = cf.check_outer(joint, rates)
         layering, trace = cf.solve(joint, rates)
         assert report.is_member and trace.status == "achieved" and trace.shifts == 2
-        assert summed_sizes[0] == joint.table.size == 2 ** 20  # made as the joint is built
-        assert max(summed_sizes[1:]) == 2 ** 13 == relay.table.size
-        assert max(abs(e.rhs - cap) for e, (_, cap) in zip(report.entries, caps)) <= 1e-12
+        assert max(summed_sizes) == 2 ** 13 == relay.table.size  # the 2^20 cells never
+        assert [e.rhs for e in report.entries] == [cap for _, cap in caps]
 
     def test_restrictions_sum_from_it(self, summed_sizes):
         root = cf.build_joint(cf.demo_spec(3, 7))
@@ -638,6 +674,34 @@ class TestEntropy:
         finally:
             tracemalloc.stop()
         assert peak < 3 * joint.table.nbytes
+
+    @pytest.mark.parametrize("make", [
+        lambda: cf.build_joint(cf.demo_spec(3, 7)),  # no cell at or below ZERO_MASS
+        lambda: cf.build_joint(unit_spec()),  # exact zeros
+        lambda: cf.JointPmf(cf.build_joint(thin_spec(1)).variables, np.array(
+            [ZERO, ZERO / 2, 0.5 - 1.5 * ZERO, 0.5, 0.0, 0.0, 0.0, 0.0]).reshape(2, 2, 1, 1, 2)),
+    ], ids=["positive", "zeros", "at-and-below-zero-mass"])
+    def test_equals_the_compress_path(self, make):
+        built = make()
+        joint = cf.JointPmf(built.variables, built.table)  # no relay table: one table sums all
+        for k in range(len(joint.variables) + 1):
+            for variables in combinations(joint.variables, k):
+                marg = joint.marginal(variables).ravel()
+                probs = marg[marg > ZERO]  # every cell copied, as before the skip
+                terms = np.log2(probs)
+                terms *= probs
+                assert joint.entropy(variables) == max(0.0, float(-np.sum(terms)))
+
+    def test_no_copy_when_no_cell_is_dropped(self):
+        joint = cf.build_joint(cf.demo_spec(4, 7))
+        assert joint.table.min() > ZERO
+        tracemalloc.start()
+        try:
+            joint.entropy(joint.variables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * joint.table.nbytes  # p log2 p alone; the compress copy made two
 
     def test_unknown_variable(self, demo2, demo3):
         with pytest.raises(cf.UnknownVariableError):
@@ -850,6 +914,58 @@ class TestJson:
             cf.probability.write_json(want, a)
             cf.probability.write_json(got, b)
             assert b.getvalue() == a.getvalue() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+    @JSON_PROPERTY
+    @given(JSON_VALUES, st.randoms(use_true_random=False))
+    @example({"b": [0.5, -0.0, float("nan")], "a": (float("inf"), -float("inf"))}, None)
+    @example(["\x00\x1f\x7f\u2028\\\"é\ud800😀", 2**64, -(2**70), True, None], None)
+    def test_bytes_of_json_dumps(self, value, rng):
+        want = stdlib_text(value)
+        assert written(value) == want
+        assert written(lazy_lists(value, lambda: True)) == want
+        if rng is not None:
+            assert written(lazy_lists(value, lambda: rng.random() < 0.5)) == want
+
+    @JSON_PROPERTY
+    @given(JSON_VALUES, st.sampled_from([set(), {0.5}, object(), b"x", 1j, {1: 0}, {None: 0},
+                                         {"a": [{(1, 2): 0}]}]))
+    def test_unsupported_raise_type_error(self, value, bad):
+        # `json` accepts int and None keys; it never writes text that differs
+        for doc, lazy in [([value, bad], iter([value, bad])),
+                          ({"a": value, "b": [bad]}, {"a": value, "b": iter([bad])})]:
+            for given_doc in (doc, lazy):
+                ours, theirs = io.StringIO(), io.StringIO()
+                with pytest.raises(TypeError):
+                    cf.probability.write_json(given_doc, ours)
+                try:
+                    json.dump(doc, theirs, indent=2, sort_keys=True)
+                except TypeError:
+                    pass
+                assert theirs.getvalue().startswith(ours.getvalue())
+
+    def test_iterator_items_written_as_yielded(self):
+        fh = io.StringIO()
+        seen = []  # what `fh` holds as each item is asked for
+
+        def items():
+            for k in range(3):
+                seen.append(fh.getvalue())
+                yield {"name": f"item{k}", "x": [k, 0.5]}
+
+        cf.probability.write_json({"a": items(), "b": 1}, fh)
+        assert fh.getvalue() == stdlib_text({"a": [{"name": f"item{k}", "x": [k, 0.5]}
+                                                   for k in range(3)], "b": 1})
+        for k in (1, 2):
+            assert f'"item{k - 1}"' in seen[k] and seen[k].endswith("}")
+
+    def test_spec_written_in_bounded_pieces(self):
+        obj = cf.demo_spec(6, 7).to_json_obj()  # 1.8 MB of text
+        pieces = []
+        fh = io.StringIO()
+        fh.write = pieces.append
+        cf.probability.write_json(obj, fh)
+        text = stdlib_text(obj)
+        assert "".join(pieces) == text and max(map(len, pieces)) < len(text) // 16
 
     def test_ragged_table_rejected(self):
         obj = cf.demo_spec(1, 11).to_json_obj()
