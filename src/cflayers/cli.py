@@ -154,8 +154,8 @@ def _subset_joints(joint, s: frozenset, below: float = float("inf")):
     after the parent was yielded, so it sums the parent's table, one Y axis
     larger; all of them share one memo, so no entropy is summed twice.  Nodes
     are dropped in decreasing order, so each S is reached once and at most one
-    table per depth is alive; a query is summed from the smallest live one
-    that holds it.
+    table per depth is alive.  Each child keeps the relay table of `joint`: a
+    query that table holds is summed from it, any other from the joint asked.
     """
     yield s, joint
     if len(s) > 1:
@@ -168,8 +168,8 @@ def cmd_floors(args) -> tuple:
     # no floor, cap or window term reads X1: the full joint is never built
     joint = _build(load_spec(args.channel), lambda v: v.label != "X1")
     relays = joint.relay_set
-    # alive through the walk, so every term it holds is summed from its table
-    relay = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
+    # kept before the walk, so every subset joint sums the terms it holds from it
+    relay = joint.relay_joint()
     floors = region.compression_floor(joint)
     gaps = {s: region.mi_gap(sub, s) for s, sub in _subset_joints(joint, relays)}
     entries = []

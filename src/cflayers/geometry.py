@@ -178,8 +178,8 @@ def _atlas_parts(joint: JointPmf, with_vertices: bool):
     the digest, the outer half-spaces, their vertices (None without
     `with_vertices`) and an iterator that computes each canonical layering's
     `AtlasEntry` when the next one is asked for.  Every cap is computed on the
-    joint's relay restriction, which is all the iterator holds: the joint
-    itself may be freed while the layerings are written."""
+    joint's relay table (`JointPmf.relay_joint`), which is all the iterator
+    holds: the joint itself may be freed while the layerings are written."""
     relays = joint.relays
     check_atlas_limits(relays, with_vertices)  # before any rate cap
     layerings = enumerate_layerings(relays)
@@ -188,7 +188,7 @@ def _atlas_parts(joint: JointPmf, with_vertices: bool):
         return tuple(enumerate_vertices(halfspaces, relays)) if with_vertices else None
 
     digest = channel_digest(joint)
-    relay = joint.restrict(joint.xs(relays) | joint.yhats(relays) | {joint.yd})
+    relay = joint.relay_joint()
 
     def entries():
         for layering in layerings:

@@ -16,7 +16,7 @@ computed quantity and are marginalized away at construction.
 All entropies are in bits.  Queries are pure and cached per variable set, so
 a `JointPmf` and its restrictions can be shared freely across threads.  A
 `build_joint` joint keeps the 2^(2n+1)-cell relay table (n binary relays) of
-`build_relay_joint` and answers every relay query from that table.
+`build_relay_joint`, and sums every relay query from it, any other from itself.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import threading
-import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -386,37 +384,10 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
 
 class _Family:
     """What a root joint and its restrictions share: one entropy memo, keyed by
-    a mask with one bit per root variable, and a record of the live members.
+    a mask with one bit per root variable."""
 
-    Each member is recorded with the mask of its axes and a weak reference, in
-    registration order, so the record never keeps a dropped restriction alive;
-    dead entries are pruned at the next pick.
-    """
-
-    def __init__(self, root: JointPmf):
+    def __init__(self):
         self.memo: dict[int, float] = {}
-        self._members: list = []
-        self._lock = threading.Lock()  # a restriction may register mid-pick
-        self.add(root)
-
-    def add(self, joint: JointPmf) -> None:
-        with self._lock:
-            self._members.append((sum(joint._bits), weakref.ref(joint)))
-
-    def smallest(self, joint: JointPmf, mask: int) -> JointPmf:
-        """The live member with the fewest cells whose axes hold `mask`; ties
-        go to `joint`, which holds it, then to the member registered first."""
-        best = joint
-        with self._lock:
-            live = []
-            for held, ref in self._members:
-                member = ref()
-                if member is not None:
-                    live.append((held, ref))
-                    if not mask & ~held and member._table.size < best._table.size:
-                        best = member
-            self._members = live
-        return best
 
 
 class JointPmf:
@@ -431,13 +402,16 @@ class JointPmf:
 
     `restrict(variables)` sums a table once down to `variables` and returns
     their joint, in canonical order.  A root and its restrictions are one
-    distribution: they share the memo and their tables, so an entropy computed
-    on any member answers all of them, and a new one is summed from the
-    smallest live member that holds its variables, whichever member was
-    asked.  A dropped restriction is freed as usual.  The relays and Yd are
-    read off the kept axes, so every relay input and Yd must be kept.  A
-    joint from `build_joint` holds its restriction to (Xi, Yhi per relay, Yd),
-    so each relay query sums that 2^(2n+1)-cell table, not the full one.
+    distribution: they share the memo, so an entropy computed on any member
+    answers all of them.  The relays and Yd are read off the kept axes, so
+    every relay input and Yd must be kept.
+
+    `relay_joint()` keeps the restriction to (Xi, Yhi per relay, Yd), the
+    relay table; `build_joint` fills it with the table of `build_relay_joint`,
+    and a restriction that keeps those axes holds the same one.  A new
+    entropy or restriction is summed from the relay table when that table
+    holds its variables, and from the joint asked otherwise, so each relay
+    query sums the 2^(2n+1)-cell table, not the full one.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
@@ -470,7 +444,8 @@ class JointPmf:
         self._variables = variables
         self._axis = {(v.kind, v.node): i for i, v in enumerate(variables)}
         self._bits = tuple(1 << i for i in range(len(variables)))  # memo-key bit per axis
-        self._family = _Family(self)
+        self._family = _Family()
+        self._relay_joint: JointPmf | None = None
 
     # -- structure ----------------------------------------------------------
     @property
@@ -580,7 +555,7 @@ class JointPmf:
         memo = self._family.memo
         cached = memo.get(mask)
         if cached is None:
-            source = self._family.smallest(self, mask)
+            source = self._source(mask)
             marg = (source._sum_to(mask) if variables is None else source.marginal(variables)).ravel()
             probs = marg if marg.min() > ZERO_MASS else marg[marg > ZERO_MASS]  # copies only to drop
             terms = np.log2(probs)  # p log2 p in place: no third table-size array
@@ -593,10 +568,26 @@ class JointPmf:
         read-only table itself when `variables` are all of this joint's."""
         return self._sum_to(self._mask(variables))
 
+    def _source(self, mask: int) -> JointPmf:
+        """The joint a new sum to `mask` reads: the kept relay table when it
+        holds `mask`, this joint otherwise."""
+        relay = self._relay_joint
+        return relay if relay is not None and not mask & ~sum(relay._bits) else self
+
+    def relay_joint(self) -> JointPmf:
+        """The restriction to (Xi, Yhi per relay, Yd), all that rate caps and
+        shifts read, summed on the first call and kept: every later sum or
+        restriction whose variables it holds reads its table.  Racing first
+        calls may each sum one; their tables are equal, bit for bit."""
+        if self._relay_joint is None:
+            relays = self._relays
+            self._relay_joint = self.restrict(self.xs(relays) | self.yhats(relays) | {self.yd})
+        return self._relay_joint
+
     def restrict(self, variables) -> JointPmf:
-        """The joint of `variables` alone, summed from the smallest live member of this
-        joint's family that holds them, and sharing that family's memo and tables;
-        raises IncompleteRestrictionError unless they include every relay input and Yd."""
+        """The joint of `variables` alone, sharing this joint's memo and, if it
+        keeps its axes, its relay table; raises IncompleteRestrictionError
+        unless `variables` include every relay input and Yd."""
         return self._restrict(self._mask(variables))
 
     def _restrict(self, mask: int, table: np.ndarray | None = None) -> JointPmf:
@@ -611,11 +602,13 @@ class JointPmf:
                 f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
             )
         if table is None:
-            table = self._family.smallest(self, mask)._sum_to(mask)
+            table = self._source(mask)._sum_to(mask)
         child = JointPmf._own(kept, table)
         # the same distribution, so one memo in one key space answers both
         child._bits, child._family = tuple(self._bits[i] for i in axes), self._family
-        self._family.add(child)
+        relay = self._relay_joint
+        if relay is not None and not sum(relay._bits) & ~mask:  # the child keeps its axes
+            child._relay_joint = relay
         return child
 
     def entropy(self, variables) -> float:
@@ -715,11 +708,11 @@ def build_joint(spec: ChannelSpec) -> JointPmf:
     Raises InvalidSpecError when validation fails and TableTooLargeError when
     the table would exceed MAX_TABLE_CELLS (2^24) entries.
 
-    The joint keeps its restriction to (Xi, Yhi per relay, Yd), the table of
-    `build_relay_joint`: 2^(2n+1) cells at n binary relays, against 2^(3n+2).
-    It is the smallest member of the family that holds any relay query, so
-    every rate cap term and shift decision is summed from it, bit for bit as
-    on `build_relay_joint`; the full table is never summed to it.
+    The joint's `relay_joint()` is the table of `build_relay_joint`:
+    2^(2n+1) cells at n binary relays, against 2^(3n+2).  Every rate cap term
+    and shift decision of the joint or of a restriction that keeps the relay
+    axes is summed from it, bit for bit as on `build_relay_joint`; the full
+    table is never summed to it.
     """
     joint = _build(spec, lambda v: True)
     relay = build_relay_joint(spec)

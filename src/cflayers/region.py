@@ -207,6 +207,10 @@ def region_caps(joint: JointPmf, layering: Layering | None) -> tuple:
     which is checked against the joint first."""
     if layering is not None:
         require_valid_layering(joint, layering)
+    return _caps(joint, layering)
+
+
+def _caps(joint: JointPmf, layering: Layering | None) -> tuple:
     return tuple((s, _cap(joint, layering, s)) for s in subsets_by_mask(joint.relay_set))
 
 
@@ -278,7 +282,7 @@ def _build_report(joint, layering, rates, epsilon) -> ConstraintReport:
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     entries = []
-    for s, rhs in region_caps(joint, layering):
+    for s, rhs in _caps(joint, layering):  # the layering is checked above
         rate_sum = rates.subset_sum(s)
         entries.append(SubsetConstraint(s, rhs, rate_sum, satisfied=(rhs - rate_sum) > epsilon))
     kind = "outer" if layering is None else "layered"

@@ -155,6 +155,43 @@ def sample_outer_point(joint, rng, delta=1e-3, tries=5000):
     return None
 
 
+def greedy_vertices(halfspaces, relays):
+    """Vertices of {x >= 0 : x(S) <= cap(S)} by Edmonds' greedy, given one cap
+    per nonempty subset of a submodular function.
+
+    The region is the polymatroid of the monotone closure g(S) = min over
+    T >= S of cap(T), with g(empty) = 0.  Each ordered subset p1..pk gives
+    the vertex with coordinate pj = g(p1..pj) - g(p1..pj-1) and 0 elsewhere.
+    Points within VERTEX_TOL of one found earlier are dropped, as
+    `enumerate_vertices` drops them; coordinates follow sorted `relays`.
+    """
+    nodes = sorted(relays)
+    n, full = len(nodes), (1 << len(nodes)) - 1
+    closure = [0.0] * (full + 1)
+    for hs in halfspaces:
+        closure[sum(1 << nodes.index(i) for i in hs.subset)] = hs.rhs
+    for mask in range(full - 1, 0, -1):  # each superset comes first
+        closure[mask] = min([closure[mask]] + [closure[mask | 1 << j]
+                                               for j in range(n) if not mask >> j & 1])
+    closure[0] = 0.0
+    points = []
+
+    def walk(prefix, point):
+        points.append(point)
+        for j in range(n):
+            if not prefix >> j & 1:
+                step = point.copy()
+                step[j] = closure[prefix | 1 << j] - closure[prefix]
+                walk(prefix | 1 << j, step)
+
+    walk(0, np.zeros(n))
+    found = points[:1]
+    for point in points[1:]:
+        if np.min(np.max(np.abs(np.array(found) - point), axis=1)) > cf.geometry.VERTEX_TOL:
+            found.append(point)
+    return [tuple(map(float, p)) for p in found]
+
+
 def usable_demo_channels(n_channels, relay_of_trial, first_seed=201, min_cap=3e-3):
     """Stream of (seed, joint) demo channels whose outer region is not too thin.
 

@@ -9,7 +9,7 @@ import cflayers as cf
 from cflayers.geometry import HalfSpace, enumerate_vertices
 from cflayers.region import subsets_by_mask
 
-from conftest import random_spec
+from conftest import greedy_vertices, random_spec
 from test_probability import unit_spec
 
 
@@ -105,6 +105,21 @@ class TestVertices:
                 tight = int(np.sum(np.abs(a @ point - b) <= 1e-9))
                 tight += int(np.sum(np.abs(point) <= 1e-9))
                 assert tight >= len(nodes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_greedy_helper_matches(self, n):
+        # the test helper that lists vertices past MAX_VERTEX_DIM, checked where both run
+        for seed in (1, 7, 301):
+            joint = cf.build_relay_joint(cf.demo_spec(n, seed))
+            nodes = sorted(joint.relays)
+            regions = [cf.outer_h_rep(joint)]
+            regions += [cf.h_rep(joint, lay) for lay in cf.enumerate_layerings(nodes)]
+            for hs in regions:
+                want = np.array(enumerate_vertices(hs, nodes))
+                got = np.array(greedy_vertices(hs, nodes))
+                assert got.shape == want.shape
+                gap = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+                assert gap.min(axis=1).max() <= cf.geometry.VERTEX_TOL
 
     def test_matches_grid_rasterization(self, demo2):
         """Support function of the vertex hull equals the grid's within one step."""

@@ -477,7 +477,8 @@ class TestRestrict:
 
 
 class TestFamily:
-    """A root and its restrictions share their tables: a sum reads the smallest live one."""
+    """A root and its restrictions share one memo; a new sum reads the joint asked,
+    or the relay table it keeps when that table holds the sum's variables."""
 
     @pytest.mark.parametrize("asked", ["root", "relay", "sub"])
     def test_relay_terms_summed_from_relay_restriction(self, summed_sizes, asked):
@@ -495,9 +496,51 @@ class TestFamily:
         got = [joint.relay_entropy(a, b) for a, b in pairs]
         got.append(joint.entropy({joint.x(2), joint.yhat(3)}))  # the generic path
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
-        # one sum per query, every mask being new, each of the smallest table
+        # one sum per query, every mask being new, each of the kept relay table
         assert summed_sizes == [members["relay"].table.size] * len(want)
         assert members["relay"].table.size < min(root.table.size, members["sub"].table.size)
+
+    def test_cli_sums_read_the_joint_asked_or_its_relay_table(self, tmp_path, monkeypatch,
+                                                              capsys):
+        asked, strays, sums = [], [], []
+        sum_to = cf.JointPmf._sum_to
+
+        def summing(self, mask):
+            joint = asked[-1] if asked else self
+            if self is not joint and self is not joint._relay_joint:
+                strays.append(self)
+            if any(not mask & bit for bit in self._bits):  # keeping every axis sums nothing
+                sums.append(str(self.table.size.bit_length() - 12))
+            return sum_to(self, mask)
+
+        def asking(method):
+            def wrapped(self, *args):
+                asked.append(self)
+                try:
+                    return method(self, *args)
+                finally:
+                    asked.pop()
+            return wrapped
+
+        monkeypatch.setattr(cf.JointPmf, "_sum_to", summing)
+        for name in ("_entropy", "_restrict"):  # every sum starts in one of these
+            monkeypatch.setattr(cf.JointPmf, name, asking(getattr(cf.JointPmf, name)))
+        cf.demo_spec(6, 7).save(tmp_path / "c6.json")
+        cf.demo_spec(5, 7).save(tmp_path / "c5.json")
+        rates = {str(i): 0.0007 if i == 2 else 1e-5 for i in range(2, 8)}
+        (tmp_path / "r6.json").write_text(json.dumps({"rates": rates}))
+        chan6, chan5, with_rates = (["--channel", str(tmp_path / "c6.json")],
+                                    ["--channel", str(tmp_path / "c5.json")],
+                                    ["--rates", str(tmp_path / "r6.json")])
+        runs = {"floors": ["floors", *chan6], "check": ["check", *chan6, *with_rates],
+                "solve": ["solve", *chan6, *with_rates], "export": ["export", *chan5]}
+        got = {}
+        for name, args in runs.items():
+            sums.clear()
+            assert cf.cli.main(args) == 0
+            got[name] = "".join(sums)
+        capsys.readouterr()
+        assert strays == [] and got == CLI_SUMS
 
     def test_dropped_restriction_is_freed(self, summed_sizes):
         root = cf.build_joint(cf.demo_spec(3, 7))
@@ -509,25 +552,21 @@ class TestFamily:
         root.entropy({root.y(2)})  # held by the child, not by the relay table
         assert summed_sizes == [root.table.size]
 
-    def test_equal_sizes_resolve_alike_on_every_run(self, monkeypatch):
-        summed_from = []
-        sum_to = cf.JointPmf._sum_to
-        monkeypatch.setattr(cf.JointPmf, "_sum_to",
-                            lambda self, mask: summed_from.append(self) or sum_to(self, mask))
-        picks = []
-        for _ in range(4):
-            root = cf.build_joint(cf.demo_spec(3, 7))
-            base = set(relay_axes(root))
-            # the kept relay table holds every mask inside the relay axes, so the
-            # tie is on masks with Y3, which both hold
-            left = root.restrict(base | {root.y(2), root.y(3)})
-            right = root.restrict(base | {root.y(3), root.y(4)})
-            assert left.table.size == right.table.size
-            summed_from.clear()
-            root.entropy({root.x(2), root.y(3)})  # held by both: the first registered
-            right.entropy({right.x(4), right.y(3)})  # ties go to the joint asked
-            picks.append([{id(left): "left", id(right): "right"}.get(id(s)) for s in summed_from])
-        assert picks == [["left", "right"]] * 4
+
+# log2 of the size of each table summed, less 11, in order, by `floors`, `check`
+# and `solve` on demo_spec(6, 7) and `export` on demo_spec(5, 7): 2^19 cells is 8,
+# the 6-relay relay table (2^13) is 2, the 5-relay one (2^11) is 0
+CLI_SUMS = {
+    "floors": "8228822882288228822882288282228272726226252252422423224232252422"
+              "4232252422625225242242322524226252252422625227262262522524224232"
+              "2524226252252422625227262262522524226252272622625227262282727262"
+              "2625225242242322524226252252422625227262262522524226252272622625"
+              "2272622827272622625225242262522726226252272622827272622625227262"
+              "28272726228272",
+    "check": "2" * 69,
+    "solve": "2" * 224,
+    "export": "0" * 247,
+}
 
 
 class TestKeptRelayTable:
@@ -870,8 +909,8 @@ class TestConcurrency:
         pairs = [(a, b) for a in powerset(full.relays) for b in powerset(full.relays)]
 
         def query(k):
-            # two threads in three restrict while the others query: a pick must
-            # tolerate members registered or dropped mid-query
+            # two threads in three restrict while the others query: each restriction
+            # shares the memo and the relay table, made and dropped mid-query
             joint = full.restrict(base | {full.y(1 + k % 3)}) if k % 3 else full
             order = np.random.default_rng(k).permutation(len(pairs))
             return {pairs[i]: joint.relay_entropy(*pairs[i]) for i in order}
@@ -886,6 +925,32 @@ class TestConcurrency:
         assert len(results) == 24
         for key in pairs:
             assert len({r[key] for r in results}) == 1
+
+    def test_relay_table_made_mid_query(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        root = cf.build_joint(cf.demo_spec(3, 7))
+        joint = cf.JointPmf(root.variables, root.table)  # keeps no relay table yet
+        pairs = [(a, b) for a in powerset(joint.relays) for b in powerset(joint.relays)]
+
+        def query(k):
+            # first calls race: each may sum and store its own relay table
+            relay = joint.relay_joint() if k % 2 else joint
+            order = np.random.default_rng(k).permutation(len(pairs))
+            return relay, {pairs[i]: relay.relay_entropy(*pairs[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(query, range(24), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 24
+        for relay, _ in results[1::2]:
+            assert np.array_equal(relay.table, joint.relay_joint().table)
+        for key in pairs:
+            assert len({values[key] for _, values in results}) == 1
 
 
 class TestJson:

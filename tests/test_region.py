@@ -334,6 +334,16 @@ class TestMembership:
         with pytest.raises(ValueError, match="epsilon"):
             cf.check_layered(demo2, parse_layering("2|3"), zero_rates(demo2), float("nan"))
 
+    def test_layering_checked_once(self, demo2, monkeypatch):
+        calls = []
+        validate = cf.region.validate_layering
+        monkeypatch.setattr(cf.region, "validate_layering",
+                            lambda *args: calls.append(args) or validate(*args))
+        cf.check_layered(demo2, parse_layering("2|3"), zero_rates(demo2))
+        assert len(calls) == 1
+        cf.check_outer(demo2, zero_rates(demo2))
+        assert len(calls) == 1
+
     def test_partial_layering_rejected(self, demo2):
         with pytest.raises(cf.InvalidSubsetError):
             cf.check_layered(demo2, make_layering([{2}]), zero_rates(demo2))
