@@ -156,6 +156,7 @@ def _subset_joints(joint, s: frozenset, below: float = float("inf")):
     are dropped in decreasing order, so each S is reached once and at most one
     table per depth is alive.  Each child keeps the relay table of `joint`: a
     query that table holds is summed from it, any other from the joint asked.
+    The singletons S = {i} are the smallest joints that hold relay i's floor.
     """
     yield s, joint
     if len(s) > 1:
@@ -164,14 +165,45 @@ def _subset_joints(joint, s: frozenset, below: float = float("inf")):
             yield from _subset_joints(child, s - {i}, i)
 
 
+def _window_joints(joint, nodes: tuple, s: frozenset = frozenset()):
+    """Yield (S, joint of (X_R, Y_S, Yh_{R-S}, Yd)) for every S got by adding
+    to `s` a subset of `nodes`, depth first.
+
+    `joint` keeps Y_i and Yh_i of each node i in `nodes`, and one of them
+    for every other relay.  Node by node, in the order given, each level
+    restricts away Y_i (i outside S) or Yh_i (i in S), so every table is
+    summed from a parent one axis larger, and at most one table per depth is
+    alive.  At n binary relays, from the X1-free joint, the walk reads about
+    n * 2^(3n+2) cells in all, where summing each leaf from its
+    (X_R, Yh_R, Y_S, Yd) reads 2^(2n+1) * (3^n - 1).  The leaf for the empty S
+    keeps only the relay axes, so it is the kept relay table, not summed again.
+    """
+    if not nodes:
+        yield s, joint
+        return
+    i, rest = nodes[0], nodes[1:]
+    for drop, leaf_s in ((joint.y(i), s), (joint.yhat(i), s | {i})):
+        child = joint.restrict(v for v in joint.variables if v != drop)
+        yield from _window_joints(child, rest, leaf_s)
+
+
 def cmd_floors(args) -> tuple:
     # no floor, cap or window term reads X1: the full joint is never built
     joint = _build(load_spec(args.channel), lambda v: v.label != "X1")
     relays = joint.relay_set
-    # kept before the walk, so every subset joint sums the terms it holds from it
+    # kept before the walks, so every subset joint sums the terms it holds from it
     relay = joint.relay_joint()
-    floors = region.compression_floor(joint)
-    gaps = {s: region.mi_gap(sub, s) for s, sub in _subset_joints(joint, relays)}
+    # H(X_R, Y_S, Yh_{R-S}, Yd) of each nonempty S goes into the memo, where
+    # `mi_gap` finds it; the empty S is the relay table's mask, which the caps read
+    for s, leaf in _window_joints(joint, joint.relays):
+        if s:
+            leaf.entropy(leaf.variables)
+    floors, gaps = {}, {}
+    for s, sub in _subset_joints(joint, relays):
+        gaps[s] = region.mi_gap(sub, s)
+        if len(s) == 1:
+            (i,) = s
+            floors[i] = region.relay_floor(sub, i)
     entries = []
     consistent = True
     for s, cap in region.region_caps(relay, None):

@@ -520,6 +520,12 @@ class JointPmf:
         dropped block, and outer otherwise.  The view is summed in slabs along
         its leading axes, each copied to contiguous memory only when whole
         rows are summed, so no copy holds more than SUM_SLAB_CELLS cells.
+
+        One dropped axis with no more cells than the kept block, as in each
+        step of the restriction walks of `cflayers floors`, needs no view: its
+        slices are added in order, starting from zero, the additions the
+        slabs make in the order they make them, so the sum is the same bit
+        for bit.
         """
         table = self._table
         keep = [i for i, bit in enumerate(self._bits) if mask & bit]
@@ -530,6 +536,12 @@ class JointPmf:
         kept = math.prod(shape)
         dropped = table.size // kept
         inner = kept >= dropped
+        if inner and len(drop) == 1:
+            parts = iter(np.moveaxis(table, drop[0], 0))
+            out = next(parts) + 0.0  # a new array, -0.0 turned to 0.0 as zeros + part does
+            for part in parts:
+                out += part
+            return out
         view = table.transpose(drop + keep if inner else keep + drop)
         lead, cells = 0, table.size  # a slab: view[idx] for idx over the `lead` leading axes
         while cells > SUM_SLAB_CELLS:
@@ -592,15 +604,19 @@ class JointPmf:
 
     def _restrict(self, mask: int, table: np.ndarray | None = None) -> JointPmf:
         """`restrict` to the variables in `mask`, whose table is `table` when
-        given: the family's distribution, already summed to them."""
-        axes = [i for i, bit in enumerate(self._bits) if mask & bit]
-        kept = tuple(self._variables[i] for i in axes)
-        needed = [self.x(i) for i in self._relays] + [self.yd]
-        dropped = [v.label for v in needed if v not in kept]
-        if dropped:
+        given: the family's distribution, already summed to them.  The relay
+        inputs and Yd are checked by their mask bits; labels are looked up
+        only for the error, which an absent Yd turns into UnknownVariableError."""
+        axis, bits = self._axis, self._bits
+        needed = [("x", i) for i in self._relays] + [("y", self.d)]
+        missing = [key for key in needed if key not in axis or not mask & bits[axis[key]]]
+        if missing:
+            dropped = ", ".join(self._var(*key).label for key in missing)
             raise IncompleteRestrictionError(
-                f"a restriction must keep every relay input and Yd; it drops {', '.join(dropped)}"
+                f"a restriction must keep every relay input and Yd; it drops {dropped}"
             )
+        axes = [i for i, bit in enumerate(bits) if mask & bit]
+        kept = tuple(self._variables[i] for i in axes)
         if table is None:
             table = self._source(mask)._sum_to(mask)
         child = JointPmf._own(kept, table)

@@ -325,10 +325,13 @@ def pick_violator(report: ConstraintReport):
 
 def compression_floor(joint: JointPmf) -> dict[int, float]:
     """Per-relay minimum workable compression rate I(Yhi; Yi | Xi), in bits."""
-    return {
-        i: joint.mutual_info({joint.yhat(i)}, {joint.y(i)}, {joint.x(i)})
-        for i in joint.relays
-    }
+    return {i: relay_floor(joint, i) for i in joint.relays}
+
+
+def relay_floor(joint: JointPmf, i: int) -> float:
+    """Relay i's compression floor I(Yhi; Yi | Xi), in bits, on any joint that
+    keeps Yi."""
+    return joint.mutual_info({joint.yhat(i)}, {joint.y(i)}, {joint.x(i)})
 
 
 def floor_sum(floors: dict[int, float], s) -> float:

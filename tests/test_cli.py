@@ -500,6 +500,57 @@ class TestFloors:
                 assert close(e["mi_gap"], cf.mi_gap(full, s))
                 assert close(e["floor_sum"], cf.region.floor_sum(floors, s))
 
+    def test_ternary_y_matches_library_unrounded(self, tmp_path, capsys, monkeypatch):
+        # floors read the singleton subset joints and windows the one-axis walk,
+        # the library the full joint: without the printed rounding they agree to 1e-12
+        monkeypatch.setattr(cf.cli, "fmt12", float)
+        one_axis = []
+        sum_to = cf.JointPmf._sum_to
+
+        def summing(self, mask):
+            dropped = [v.size for v, bit in zip(self.variables, self._bits) if not mask & bit]
+            if len(dropped) == 1:
+                one_axis.append(dropped[0])
+            return sum_to(self, mask)
+
+        monkeypatch.setattr(cf.JointPmf, "_sum_to", summing)
+        for k, spec in enumerate(mixed_specs()):
+            path = tmp_path / f"mixed{k}.json"
+            spec.save(path)
+            assert main(["floors", "--channel", str(path), "--format", "json"]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            full = cf.build_joint(spec)
+            floors = cf.compression_floor(full)
+            assert obj["floors"].keys() == {str(i) for i in floors}
+            assert all(abs(obj["floors"][str(i)] - f) <= 1e-12 for i, f in floors.items())
+            for e in obj["subsets"]:
+                assert abs(e["mi_gap"] - cf.mi_gap(full, e["subset"])) <= 1e-12
+        assert 3 in one_axis  # a ternary Y or Yh summed away in one step
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_boundary_rhs_is_check_rhs(self, tmp_path, capsys, n):
+        # the window walk must leave the caps' memo entries alone: each printed cap
+        # is the one of the X1-free joint's relay table, queried before any walk
+        for seed in (1, 7, 301):
+            spec = cf.demo_spec(n, seed)
+            path = tmp_path / f"demo{n}_{seed}.json"
+            spec.save(path)
+            rates = write_rates(tmp_path, {i: 0.0 for i in range(2, n + 2)})
+            assert main(["floors", "--channel", str(path), "--format", "json"]) == 0
+            floors = json.loads(capsys.readouterr().out)["subsets"]
+            assert main(["check", "--channel", str(path), "--rates", rates,
+                         "--format", "json"]) == 0
+            check = json.loads(capsys.readouterr().out)["subsets"]
+            x1_free = cf.probability._build(spec, lambda v: v.label != "X1")
+            caps = cf.region.region_caps(x1_free.relay_joint(), None)
+            assert [(e["subset"], e["boundary_rhs"]) for e in floors] == [
+                (sorted(s), cf.region.fmt12(cap)) for s, cap in caps]
+            # check sums its relay table in the einsum that builds it, so its caps
+            # may print one unit apart in the 12th digit
+            assert [e["subset"] for e in floors] == [e["subset"] for e in check]
+            assert all(abs(f["boundary_rhs"] - c["rhs"]) <= 1e-11 * abs(c["rhs"])
+                       for f, c in zip(floors, check))
+
     def test_caps_from_region_caps(self, demo3_file, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("boundary_rhs was called")

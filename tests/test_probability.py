@@ -542,6 +542,27 @@ class TestFamily:
         capsys.readouterr()
         assert strays == [] and got == CLI_SUMS
 
+    def test_floors_reads_each_floor_from_a_singleton_joint(self, tmp_path, monkeypatch,
+                                                             capsys):
+        sums = []  # (cells read, axes kept) per sum
+        sum_to = cf.JointPmf._sum_to
+
+        def summing(self, mask):
+            kept = sum(1 for bit in self._bits if mask & bit)
+            if kept < self.table.ndim:
+                sums.append((self.table.size, kept))
+            return sum_to(self, mask)
+
+        monkeypatch.setattr(cf.JointPmf, "_sum_to", summing)
+        cf.demo_spec(6, 7).save(tmp_path / "c6.json")
+        assert cf.cli.main(["floors", "--channel", str(tmp_path / "c6.json")]) == 0
+        capsys.readouterr()
+        # the X1-free joint is summed to no floor term such as (Xi, Yi, Yhi), and the
+        # window tables come from the one-axis walk: 396 sums of 19.5M cells, not 25.3M
+        assert max(size for size, _ in sums) == 2 ** 19
+        assert [kept for size, kept in sums if size == 2 ** 19 and kept <= 3] == []
+        assert sum(size for size, _ in sums) <= 19.5e6
+
     def test_dropped_restriction_is_freed(self, summed_sizes):
         root = cf.build_joint(cf.demo_spec(3, 7))
         child = root.restrict(v for v in root.variables if v != root.x1)
@@ -557,12 +578,13 @@ class TestFamily:
 # and `solve` on demo_spec(6, 7) and `export` on demo_spec(5, 7): 2^19 cells is 8,
 # the 6-relay relay table (2^13) is 2, the 5-relay one (2^11) is 0
 CLI_SUMS = {
-    "floors": "8228822882288228822882288282228272726226252252422423224232252422"
-              "4232252422625225242242322524226252252422625227262262522524224232"
-              "2524226252252422625227262262522524226252272622625227262282727262"
-              "2625225242242322524226252252422625227262262522524226252272622625"
-              "2272622827272622625225242262522726226252272622827272622625227262"
-              "28272726228272",
+    "floors": "8876543433543343365433433543343376543343354334336543343354334338"
+              "7654334335433433654334335433433765433433543343365433433543343322"
+              "2282227222622252224222223342222233522242222233522262225222422222"
+              "3352226222522262227222622252224222223352226222522262227222622252"
+              "2262227222622272228227222622252224222233522262225222622272226222"
+              "5222622272226222722282272226222522262227222622272228227222622272"
+              "228227222822",
     "check": "2" * 69,
     "solve": "2" * 224,
     "export": "0" * 247,
@@ -641,6 +663,24 @@ class TestSumTo:
             got = joint._sum_to(mask)
             assert got.shape == want.shape  # 0-d for the empty mask
             assert np.max(np.abs(got - want)) <= 1e-15 * table.size
+
+    # X1, (X2, Y2, Yh2), (X3, Y3, Yh3), Y4: 44,100 cells, then 154,350 (above the slab)
+    @pytest.mark.parametrize("x1", [2, 7])
+    def test_one_axis_adds_its_slices_in_order(self, x1):
+        sizes = (x1, 3, 5, 7, 2, 3, 5, 7)
+        kinds = [("x", 1), ("x", 2), ("y", 2), ("yhat", 2), ("x", 3), ("y", 3), ("yhat", 3),
+                 ("y", 4)]
+        table = np.random.default_rng(x1).random(sizes)
+        joint = cf.JointPmf([cf.Variable(k, n, s) for (k, n), s in zip(kinds, sizes)],
+                            table / table.sum())
+        assert (joint.table.size > cf.probability.SUM_SLAB_CELLS) == (x1 == 7)
+        full = (1 << len(sizes)) - 1
+        for axis, size in enumerate(sizes):
+            parts = [joint.table.take(j, axis=axis) for j in range(size)]
+            want = parts[0]
+            for part in parts[1:]:
+                want = want + part  # ((s0 + s1) + s2) + ...
+            assert np.array_equal(joint._sum_to(full & ~(1 << axis)), want)
 
     def test_keep_all_returns_the_table(self):
         joint = mixed_joint(np.random.default_rng(0))
