@@ -190,23 +190,20 @@ def _window_joints(joint, nodes: tuple, s: frozenset = frozenset()):
 def cmd_floors(args) -> tuple:
     # no floor, cap or window term reads X1: the full joint is never built
     joint = _build(load_spec(args.channel), lambda v: v.label != "X1")
-    relays = joint.relay_set
-    # kept before the walks, so every subset joint sums the terms it holds from it
-    relay = joint.relay_joint()
     # H(X_R, Y_S, Yh_{R-S}, Yd) of each nonempty S goes into the memo, where
     # `mi_gap` finds it; the empty S is the relay table's mask, which the caps read
     for s, leaf in _window_joints(joint, joint.relays):
         if s:
             leaf.entropy(leaf.variables)
     floors, gaps = {}, {}
-    for s, sub in _subset_joints(joint, relays):
+    for s, sub in _subset_joints(joint, joint.relay_set):
         gaps[s] = region.mi_gap(sub, s)
         if len(s) == 1:
             (i,) = s
             floors[i] = region.relay_floor(sub, i)
     entries = []
     consistent = True
-    for s, cap in region.region_caps(relay, None):
+    for s, cap in region.region_caps(joint.relay_joint(), None):
         floor_sum = region.floor_sum(floors, s)
         window = cap - floor_sum
         ok = abs(window - gaps[s]) <= 1e-9

@@ -13,10 +13,10 @@ variables read: every one (`build_joint`), or (Xi, Yhi per relay, Yd) only
 The source observation y1 and the destination input x_d never enter any
 computed quantity and are marginalized away at construction.
 
-All entropies are in bits.  Queries are pure and cached per variable set, so
-a `JointPmf` and its restrictions can be shared freely across threads.  A
-`build_joint` joint keeps the 2^(2n+1)-cell relay table (n binary relays) of
-`build_relay_joint`, and sums every relay query from it, any other from itself.
+All entropies are in bits.  Queries are pure and cached, and no joint changes
+once built, so joints can be shared freely across threads.  A joint built over
+more than the relay axes keeps the 2^(2n+1)-cell relay table (n binary relays)
+of `build_relay_joint` and sums every relay query from it, any other from itself.
 """
 
 from __future__ import annotations
@@ -382,14 +382,6 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
     return issues
 
 
-class _Family:
-    """What a root joint and its restrictions share: one entropy memo, keyed by
-    a mask with one bit per root variable."""
-
-    def __init__(self):
-        self.memo: dict[int, float] = {}
-
-
 class JointPmf:
     """Dense joint pmf over (X1, {Xi, Yi, Yhi} per relay, Yd), or over a part
     of it that keeps every Xi and Yd, such as (Xi, Yhi per relay, Yd).  Immutable.
@@ -406,46 +398,50 @@ class JointPmf:
     answers all of them.  The relays and Yd are read off the kept axes, so
     every relay input and Yd must be kept.
 
-    `relay_joint()` keeps the restriction to (Xi, Yhi per relay, Yd), the
-    relay table; `build_joint` fills it with the table of `build_relay_joint`,
-    and a restriction that keeps those axes holds the same one.  A new
-    entropy or restriction is summed from the relay table when that table
-    holds its variables, and from the joint asked otherwise, so each relay
-    query sums the 2^(2n+1)-cell table, not the full one.
+    `relay_joint()` is the restriction to (Xi, Yhi per relay, Yd).  A joint
+    `_build` makes over more axes keeps the table of `build_relay_joint`, as
+    does each restriction of it that keeps those axes, and sums a new entropy
+    or restriction from it when it holds the variables, so each relay query
+    sums the 2^(2n+1)-cell table, not the full one.  Tables are checked where
+    they enter, by the constructor or `_build`, not on restriction.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
         # a copy: the caller's array is neither frozen nor aliased
         self._init(tuple(variables), np.array(table, dtype=float))
+        self._check()
 
     @classmethod
     def _own(cls, variables: tuple[Variable, ...], table: np.ndarray) -> JointPmf:
         """The joint of `table`, a float array that nothing else writes, such as
-        one the module just built or summed; checked as the constructor checks
-        it, but frozen in place rather than copied."""
+        one the module just built or summed; frozen in place rather than
+        copied, and not checked."""
         joint = cls.__new__(cls)
         joint._init(variables, np.ascontiguousarray(table))
         return joint
 
     def _init(self, variables: tuple[Variable, ...], table: np.ndarray) -> None:
-        if table.shape != tuple(v.size for v in variables):
-            raise InvalidSpecError("joint table shape does not match its variables")
-        if np.any(table < -NORMALIZATION_TOL):
-            raise InvalidSpecError("joint table has negative entries")
+        table.setflags(write=False)
+        self._table = table
+        self._variables = variables
         self._relays = tuple(v.node for v in variables if v.kind == "x" and v.node != 1)
-        mass = float(table.sum())
+        self._axis = {(v.kind, v.node): i for i, v in enumerate(variables)}
+        self._bits = tuple(1 << i for i in range(len(variables)))  # memo-key bit per axis
+        self._memo: dict[int, float] = {}  # shared by a root and its restrictions
+        self._relay_joint: JointPmf | None = None
+
+    def _check(self) -> None:
+        """Raise InvalidSpecError unless the table fits the variables and is a pmf."""
+        if self._table.shape != tuple(v.size for v in self._variables):
+            raise InvalidSpecError("joint table shape does not match its variables")
+        if np.any(self._table < -NORMALIZATION_TOL):
+            raise InvalidSpecError("joint table has negative entries")
+        mass = float(self._table.sum())
         # each factor of the builders' product may be off by the tolerance: p(x1),
         # the channel, and p(xi) and p(yhi | xi, yi) per relay, whichever axes are kept
         factors = 2 * len(self._relays) + 2
         if not abs(mass - 1.0) <= NORMALIZATION_TOL * factors:  # NaN mass fails too
             raise InvalidSpecError(f"joint table mass is {mass!r}, not 1")
-        table.setflags(write=False)
-        self._table = table
-        self._variables = variables
-        self._axis = {(v.kind, v.node): i for i, v in enumerate(variables)}
-        self._bits = tuple(1 << i for i in range(len(variables)))  # memo-key bit per axis
-        self._family = _Family()
-        self._relay_joint: JointPmf | None = None
 
     # -- structure ----------------------------------------------------------
     @property
@@ -564,7 +560,7 @@ class JointPmf:
 
     def _entropy(self, mask: int, variables=None) -> float:
         # generic queries sum through the public `marginal`; relay queries do not
-        memo = self._family.memo
+        memo = self._memo
         cached = memo.get(mask)
         if cached is None:
             source = self._source(mask)
@@ -588,13 +584,12 @@ class JointPmf:
 
     def relay_joint(self) -> JointPmf:
         """The restriction to (Xi, Yhi per relay, Yd), all that rate caps and
-        shifts read, summed on the first call and kept: every later sum or
-        restriction whose variables it holds reads its table.  Racing first
-        calls may each sum one; their tables are equal, bit for bit."""
-        if self._relay_joint is None:
-            relays = self._relays
-            self._relay_joint = self.restrict(self.xs(relays) | self.yhats(relays) | {self.yd})
-        return self._relay_joint
+        shifts read: the relay table this joint keeps, or else a new
+        restriction, summed from this joint on each call."""
+        if self._relay_joint is not None:
+            return self._relay_joint
+        relays = self._relays
+        return self.restrict(self.xs(relays) | self.yhats(relays) | {self.yd})
 
     def restrict(self, variables) -> JointPmf:
         """The joint of `variables` alone, sharing this joint's memo and, if it
@@ -604,7 +599,7 @@ class JointPmf:
 
     def _restrict(self, mask: int, table: np.ndarray | None = None) -> JointPmf:
         """`restrict` to the variables in `mask`, whose table is `table` when
-        given: the family's distribution, already summed to them.  The relay
+        given: this joint's distribution over them, already computed.  The relay
         inputs and Yd are checked by their mask bits; labels are looked up
         only for the error, which an absent Yd turns into UnknownVariableError."""
         axis, bits = self._axis, self._bits
@@ -621,7 +616,7 @@ class JointPmf:
             table = self._source(mask)._sum_to(mask)
         child = JointPmf._own(kept, table)
         # the same distribution, so one memo in one key space answers both
-        child._bits, child._family = tuple(self._bits[i] for i in axes), self._family
+        child._bits, child._memo = tuple(self._bits[i] for i in axes), self._memo
         relay = self._relay_joint
         if relay is not None and not sum(relay._bits) & ~mask:  # the child keeps its axes
             child._relay_joint = relay
@@ -673,16 +668,19 @@ class JointPmf:
         return sum(self.entropy({self.x(i), self.yhat(i)}) for i in nodes)
 
 
-def _build(spec: ChannelSpec, keep) -> JointPmf:
-    """The joint of the variables `keep` is true for, in canonical order; the
-    rest are summed out inside the one einsum.
+def _build(spec: ChannelSpec, keep=None) -> JointPmf:
+    """The joint of the variables `keep` is true for, or of the relay axes
+    (Xi, Yhi per relay, Yd) if `keep` is None, in canonical order; the rest
+    are summed out inside the one einsum.  When `keep` holds more than the
+    relay axes, the joint keeps the relay table, contracted by the same call.
 
-    Validates `spec` and applies the cell cap to the full index space, so every
-    caller accepts the same specs whatever it keeps.  Each einsum axis is
-    labelled by its canonical position: X1 is 0, relay j owns Xi, Yi, Yhi at
-    3j+1..3j+3, and Yd is last.  The full joint is multiplied in one pass; any
-    other is contracted pairwise and never builds the full table (the relay
-    joint at 6-7 binary relays: 2-5 ms on a 2-vCPU Xeon, against 0.07-1 s).
+    Validates `spec`, checks the table and applies the cell cap to the full
+    index space, so every caller accepts the same specs whatever it keeps.
+    Each einsum axis is labelled by its canonical position: X1 is 0, relay j
+    owns Xi, Yi, Yhi at 3j+1..3j+3, and Yd is last.  The full joint is
+    multiplied in one pass; any other is contracted pairwise and never builds
+    the full table (the relay joint at 6-7 binary relays: 2-5 ms on a 2-vCPU
+    Xeon, against 0.07-1 s).
     """
     issues = validate_spec(spec)
     if issues:
@@ -713,9 +711,16 @@ def _build(spec: ChannelSpec, keep) -> JointPmf:
     args += [spec.channel, [0] + x_ax + y_ax]
     for r, a in zip(spec.relays, x_ax):
         args += [r.p_yhat, [a, a + 1, a + 2]]
-    axes = [i for i, v in enumerate(variables) if keep(v)]
+    relay_axes = [i for i, v in enumerate(variables)
+                  if v.label != "X1" and (v.kind != "y" or v.node == spec.d)]
+    axes = relay_axes if keep is None else [i for i, v in enumerate(variables) if keep(v)]
     table = np.einsum(*args, axes, optimize=len(axes) < len(variables))
-    return JointPmf._own(tuple(variables[i] for i in axes), table)
+    joint = JointPmf._own(tuple(variables[i] for i in axes), table)
+    joint._check()
+    if axes != relay_axes:
+        relay = np.einsum(*args, relay_axes, optimize=True)
+        joint._relay_joint = joint._restrict(joint._mask(variables[i] for i in relay_axes), relay)
+    return joint
 
 
 def build_joint(spec: ChannelSpec) -> JointPmf:
@@ -725,15 +730,12 @@ def build_joint(spec: ChannelSpec) -> JointPmf:
     the table would exceed MAX_TABLE_CELLS (2^24) entries.
 
     The joint's `relay_joint()` is the table of `build_relay_joint`:
-    2^(2n+1) cells at n binary relays, against 2^(3n+2).  Every rate cap term
-    and shift decision of the joint or of a restriction that keeps the relay
-    axes is summed from it, bit for bit as on `build_relay_joint`; the full
-    table is never summed to it.
+    2^(2n+1) cells at n binary relays, against 2^(3n+2), contracted from the
+    spec's factors, not summed from the full table.  Every rate cap term and
+    shift decision of the joint or of a restriction that keeps the relay axes
+    is summed from it, bit for bit as on `build_relay_joint`.
     """
-    joint = _build(spec, lambda v: True)
-    relay = build_relay_joint(spec)
-    joint._relay_joint = joint._restrict(joint._mask(relay.variables), relay.table)
-    return joint
+    return _build(spec, lambda v: True)
 
 
 def build_relay_joint(spec: ChannelSpec) -> JointPmf:
@@ -746,4 +748,4 @@ def build_relay_joint(spec: ChannelSpec) -> JointPmf:
     `x1`, `y(i)`, `source_rate` and the floors raise UnknownVariableError
     on it.
     """
-    return _build(spec, lambda v: v.label != "X1" and (v.kind != "y" or v.node == spec.d))
+    return _build(spec)

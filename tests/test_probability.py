@@ -415,7 +415,7 @@ class TestRestrict:
         base = set(relay_axes(full))
         left, right = full.restrict(base | {full.y(2)}), full.restrict(base | {full.y(3)})
         grandchild = left.restrict(base)
-        assert left._family is full._family and grandchild._family is full._family
+        assert left._memo is full._memo and grandchild._memo is full._memo
         pairs = [(a, b) for a in powerset(full.relays) for b in powerset(full.relays)]
         known = {(a, b): grandchild.relay_entropy(a, b) for a, b in pairs}
         known["x2yh3"] = left.entropy({left.x(2), left.yhat(3)})
@@ -502,8 +502,8 @@ class TestFamily:
 
     def test_cli_sums_read_the_joint_asked_or_its_relay_table(self, tmp_path, monkeypatch,
                                                               capsys):
-        asked, strays, sums = [], [], []
-        sum_to = cf.JointPmf._sum_to
+        asked, strays, sums, checks = [], [], [], []
+        sum_to, check = cf.JointPmf._sum_to, cf.JointPmf._check
 
         def summing(self, mask):
             joint = asked[-1] if asked else self
@@ -523,6 +523,7 @@ class TestFamily:
             return wrapped
 
         monkeypatch.setattr(cf.JointPmf, "_sum_to", summing)
+        monkeypatch.setattr(cf.JointPmf, "_check", lambda self: checks.append(check(self)))
         for name in ("_entropy", "_restrict"):  # every sum starts in one of these
             monkeypatch.setattr(cf.JointPmf, name, asking(getattr(cf.JointPmf, name)))
         cf.demo_spec(6, 7).save(tmp_path / "c6.json")
@@ -534,13 +535,17 @@ class TestFamily:
                                     ["--rates", str(tmp_path / "r6.json")])
         runs = {"floors": ["floors", *chan6], "check": ["check", *chan6, *with_rates],
                 "solve": ["solve", *chan6, *with_rates], "export": ["export", *chan5]}
-        got = {}
+        got, checked = {}, {}
         for name, args in runs.items():
             sums.clear()
+            checks.clear()
             assert cf.cli.main(args) == 0
-            got[name] = "".join(sums)
+            got[name], checked[name] = "".join(sums), len(checks)
         capsys.readouterr()
         assert strays == [] and got == CLI_SUMS
+        # only the table each command builds is checked: not its relay table, made of
+        # the same validated factors, nor a restriction, which sums a checked table
+        assert checked == dict.fromkeys(runs, 1)
 
     def test_floors_reads_each_floor_from_a_singleton_joint(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -557,11 +562,12 @@ class TestFamily:
         cf.demo_spec(6, 7).save(tmp_path / "c6.json")
         assert cf.cli.main(["floors", "--channel", str(tmp_path / "c6.json")]) == 0
         capsys.readouterr()
-        # the X1-free joint is summed to no floor term such as (Xi, Yi, Yhi), and the
-        # window tables come from the one-axis walk: 396 sums of 19.5M cells, not 25.3M
+        # the X1-free joint is summed to no floor term such as (Xi, Yi, Yhi), the
+        # window tables come from the one-axis walk, and the relay table is contracted
+        # in the build, not summed from that joint: 395 sums of 18.96M cells, not 25.3M
         assert max(size for size, _ in sums) == 2 ** 19
         assert [kept for size, kept in sums if size == 2 ** 19 and kept <= 3] == []
-        assert sum(size for size, _ in sums) <= 19.5e6
+        assert sum(size for size, _ in sums) <= 18.96e6
 
     def test_dropped_restriction_is_freed(self, summed_sizes):
         root = cf.build_joint(cf.demo_spec(3, 7))
@@ -578,13 +584,13 @@ class TestFamily:
 # and `solve` on demo_spec(6, 7) and `export` on demo_spec(5, 7): 2^19 cells is 8,
 # the 6-relay relay table (2^13) is 2, the 5-relay one (2^11) is 0
 CLI_SUMS = {
-    "floors": "8876543433543343365433433543343376543343354334336543343354334338"
-              "7654334335433433654334335433433765433433543343365433433543343322"
-              "2282227222622252224222223342222233522242222233522262225222422222"
-              "3352226222522262227222622252224222223352226222522262227222622252"
-              "2262227222622272228227222622252224222233522262225222622272226222"
-              "5222622272226222722282272226222522262227222622272228227222622272"
-              "228227222822",
+    "floors": "8765434335433433654334335433433765433433543343365433433543343387"
+              "6543343354334336543343354334337654334335433433654334335433433222"
+              "2822272226222522242222233422222335222422222335222622252224222223"
+              "3522262225222622272226222522242222233522262225222622272226222522"
+              "2622272226222722282272226222522242222335222622252226222722262225"
+              "2226222722262227222822722262225222622272226222722282272226222722"
+              "28227222822",
     "check": "2" * 69,
     "solve": "2" * 224,
     "export": "0" * 247,
@@ -618,6 +624,51 @@ class TestKeptRelayTable:
         h = sub.relay_entropy({2, 3}, {4})
         assert summed_sizes == [2 ** 7] * 2 and relay.table.size == 2 ** 7
         assert relay.relay_entropy({2, 3}, {4}) == h
+
+    def test_joints_never_change(self):
+        spec = cf.demo_spec(3, 7)
+        root = cf.build_joint(spec)
+        made = cf.JointPmf(root.variables, root.table)  # keeps no relay table
+        x1_free = cf.probability._build(spec, lambda v: v.label != "X1")  # as `floors`
+        for joint in (root, x1_free, cf.build_relay_joint(spec), made):
+            kept = joint._relay_joint
+            first = joint.relay_joint()
+            joint.restrict(relay_axes(joint))
+            joint.entropy({joint.x(2), joint.yd})
+            joint.relay_entropy({2, 3}, {4})
+            second = joint.relay_joint()
+            assert joint._relay_joint is kept
+            assert np.array_equal(first.table, second.table)
+            assert (first is second) == (kept is not None)
+        assert made._relay_joint is None
+        assert root._relay_joint is not None and x1_free._relay_joint is not None
+
+    def test_floors_restrictions_hold_the_root_relay_table(self, tmp_path, monkeypatch,
+                                                           capsys):
+        roots, children = [], []
+        build, restrict = cf.cli._build, cf.JointPmf._restrict
+
+        def building(*args):
+            roots.append(build(*args))
+            return roots[-1]
+
+        def restricting(self, *args):
+            children.append(restrict(self, *args))
+            return children[-1]
+
+        monkeypatch.setattr(cf.cli, "_build", building)
+        monkeypatch.setattr(cf.JointPmf, "_restrict", restricting)
+        cf.demo_spec(4, 7).save(tmp_path / "c4.json")
+        assert cf.cli.main(["floors", "--channel", str(tmp_path / "c4.json")]) == 0
+        capsys.readouterr()
+        (root,) = roots
+        relay = root._relay_joint
+        axes = set(relay.variables)
+        keeping = [c for c in children if c is not relay and axes <= set(c.variables)]
+        # the subset joints T(S), S a proper nonempty subset, and the window walk's
+        # joints that drop only Y axes
+        assert len(keeping) == 14 + 4
+        assert all(c._relay_joint is relay for c in keeping)
 
     def test_it_dies_with_its_joint(self):
         root = cf.build_joint(cf.demo_spec(3, 7))
@@ -970,11 +1021,11 @@ class TestConcurrency:
         from concurrent.futures import ThreadPoolExecutor
 
         root = cf.build_joint(cf.demo_spec(3, 7))
-        joint = cf.JointPmf(root.variables, root.table)  # keeps no relay table yet
+        joint = cf.JointPmf(root.variables, root.table)  # keeps no relay table
         pairs = [(a, b) for a in powerset(joint.relays) for b in powerset(joint.relays)]
 
         def query(k):
-            # first calls race: each may sum and store its own relay table
+            # each call sums a relay table of its own
             relay = joint.relay_joint() if k % 2 else joint
             order = np.random.default_rng(k).permutation(len(pairs))
             return relay, {pairs[i]: relay.relay_entropy(*pairs[i]) for i in order}
