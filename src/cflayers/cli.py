@@ -146,61 +146,29 @@ def cmd_demo(args) -> tuple:
     return EXIT_OK, spec.to_json_obj(), None
 
 
-def _subset_joints(joint, s: frozenset, below: float = float("inf")):
-    """Yield (S, joint of (X_R, Yh_R, Y_S, Yd)) for S = `s` and for every
-    nonempty S got by dropping from `s` nodes below `below`, depth first.
-
-    `joint` is the joint for `s`.  Each child is restricted from its parent
-    after the parent was yielded, so it sums the parent's table, one Y axis
-    larger; all of them share one memo, so no entropy is summed twice.  Nodes
-    are dropped in decreasing order, so each S is reached once and at most one
-    table per depth is alive.  Each child keeps the relay table of `joint`: a
-    query that table holds is summed from it, any other from the joint asked.
-    The singletons S = {i} are the smallest joints that hold relay i's floor.
-    """
-    yield s, joint
-    if len(s) > 1:
-        for i in sorted((i for i in s if i < below), reverse=True):
-            child = joint.restrict(v for v in joint.variables if v != joint.y(i))
-            yield from _subset_joints(child, s - {i}, i)
-
-
-def _window_joints(joint, nodes: tuple, s: frozenset = frozenset()):
-    """Yield (S, joint of (X_R, Y_S, Yh_{R-S}, Yd)) for every S got by adding
-    to `s` a subset of `nodes`, depth first.
-
-    `joint` keeps Y_i and Yh_i of each node i in `nodes`, and one of them
-    for every other relay.  Node by node, in the order given, each level
-    restricts away Y_i (i outside S) or Yh_i (i in S), so every table is
-    summed from a parent one axis larger, and at most one table per depth is
-    alive.  At n binary relays, from the X1-free joint, the walk reads about
-    n * 2^(3n+2) cells in all, where summing each leaf from its
-    (X_R, Yh_R, Y_S, Yd) reads 2^(2n+1) * (3^n - 1).  The leaf for the empty S
-    keeps only the relay axes, so it is the kept relay table, not summed again.
-    """
-    if not nodes:
-        yield s, joint
-        return
-    i, rest = nodes[0], nodes[1:]
-    for drop, leaf_s in ((joint.y(i), s), (joint.yhat(i), s | {i})):
-        child = joint.restrict(v for v in joint.variables if v != drop)
-        yield from _window_joints(child, rest, leaf_s)
-
-
 def cmd_floors(args) -> tuple:
     # no floor, cap or window term reads X1: the full joint is never built
     joint = _build(load_spec(args.channel), lambda v: v.label != "X1")
-    # H(X_R, Y_S, Yh_{R-S}, Yd) of each nonempty S goes into the memo, where
-    # `mi_gap` finds it; the empty S is the relay table's mask, which the caps read
-    for s, leaf in _window_joints(joint, joint.relays):
-        if s:
-            leaf.entropy(leaf.variables)
+    relays, key = joint.relays, joint._key
+    ys = {i: key("y", [i]) for i in relays}
+    # H(X_R, Y_S, Yh_{R-S}, Yd) of each nonempty S goes into the memo, where `mi_gap`
+    # finds it: the whole-table entropy of a leaf of a walk that sums away Y_i or Yh_i,
+    # relay by relay.  The leaf of the empty S is the relay table, which the caps read.
+    windows, any_y = [(ys[i], key("yhat", [i])) for i in relays], key("y", relays)
+    for depth, mask, h in joint._walk(windows):
+        if depth == len(relays) and mask & any_y:
+            h(mask)
+    # T(S), the table of (X_R, Yh_R, Y_S, Yd), summed from the T of a set one node
+    # larger by dropping its Y_i, nodes in decreasing order, so each S comes once; each
+    # floor is read from the smallest table that holds it, T({i})
     floors, gaps = {}, {}
-    for s, sub in _subset_joints(joint, joint.relay_set):
-        gaps[s] = region.mi_gap(sub, s)
+    for _, mask, h in joint._walk([(ys[i], 0) for i in reversed(relays)]):
+        s = frozenset(i for i in relays if mask & ys[i])
+        if s:
+            gaps[s] = region._mi_gap(joint, s, h)
         if len(s) == 1:
             (i,) = s
-            floors[i] = region.relay_floor(sub, i)
+            floors[i] = region._relay_floor(joint, i, h)
     entries = []
     consistent = True
     for s, cap in region.region_caps(joint.relay_joint(), None):

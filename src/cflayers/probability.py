@@ -26,6 +26,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -382,6 +383,70 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
     return issues
 
 
+def _sum_table(table: np.ndarray, bits: tuple, mask: int) -> np.ndarray:
+    """`table`, whose axes carry the memo-key bits `bits`, summed over every
+    axis whose bit is outside `mask`; `table` itself when `mask` keeps every
+    axis.  Every marginal, entropy and restriction is summed here.
+
+    A view of the table orders its axes as two blocks, the kept axes and
+    the dropped ones, so that the sum runs along one contiguous axis: the
+    kept block goes inner when it has at least as many cells as the
+    dropped block, and outer otherwise.  The view is summed in slabs along
+    its leading axes, each copied to contiguous memory only when whole
+    rows are summed, so no copy holds more than SUM_SLAB_CELLS cells.
+
+    One dropped axis with no more cells than the kept block, as in each
+    step of the table walks of `cflayers floors` (`JointPmf._walk`), needs
+    no view: its slices are added in order, starting from zero, the
+    additions the slabs make in the order they make them, so the sum is the
+    same bit for bit.
+    """
+    keep = [i for i, bit in enumerate(bits) if mask & bit]
+    if len(keep) == table.ndim:
+        return table
+    drop = [i for i, bit in enumerate(bits) if not mask & bit]
+    shape = tuple(table.shape[i] for i in keep)
+    kept = math.prod(shape)
+    dropped = table.size // kept
+    inner = kept >= dropped
+    if inner and len(drop) == 1:
+        parts = iter(np.moveaxis(table, drop[0], 0))
+        out = next(parts) + 0.0  # a new array, -0.0 turned to 0.0 as zeros + part does
+        for part in parts:
+            out += part
+        return out
+    view = table.transpose(drop + keep if inner else keep + drop)
+    lead, cells = 0, table.size  # a slab: view[idx] for idx over the `lead` leading axes
+    while cells > SUM_SLAB_CELLS:
+        cells //= view.shape[lead]
+        lead += 1
+    out = np.zeros(kept)  # the rows of the 2-D (dropped, kept) or (kept, dropped) view
+    for n, idx in enumerate(np.ndindex(view.shape[:lead])):
+        at, slab = n * cells, view[idx]
+        if inner and cells >= kept:  # whole rows, each as long as `out`
+            out += np.ascontiguousarray(slab).reshape(-1, kept).sum(axis=0)
+        elif inner:  # part of one row
+            part = out[at % kept:at % kept + cells].reshape(slab.shape)
+            part += slab
+        elif cells >= dropped:  # whole rows, each summed into one cell of `out`
+            rows = np.ascontiguousarray(slab).reshape(-1, dropped)
+            out[at // dropped:(at + cells) // dropped] = rows.sum(axis=1)
+        else:  # part of one row
+            out[at // dropped] += slab.sum()
+    return out.reshape(shape)
+
+
+def _mutual_info(h, a: int, b: int, c: int) -> float:
+    """I(a ; b | c) in bits, for memo masks `a`, `b` and `c`, from `h`, the
+    entropy of a mask: (H(a c) - H(c)) - (H(a b c) - H(b c)), with tiny
+    negatives from rounding clamped to 0.  Every mutual information of the
+    package, on a joint or on a table of `JointPmf._walk`, is this one."""
+    value = (h(a | c) - h(c)) - (h(a | b | c) - h(b | c))
+    if -1e-9 < value < 0.0:
+        return 0.0
+    return value
+
+
 class JointPmf:
     """Dense joint pmf over (X1, {Xi, Yi, Yhi} per relay, Yd), or over a part
     of it that keeps every Xi and Yd, such as (Xi, Yhi per relay, Yd).  Immutable.
@@ -506,65 +571,25 @@ class JointPmf:
             mask |= self._bits[axis]
         return mask
 
-    def _sum_to(self, mask: int) -> np.ndarray:
-        """The table summed over every axis outside `mask`; the read-only table
-        itself when `mask` keeps every axis.
+    def _key(self, kind: str, nodes) -> int:
+        """The memo mask of the variables of `kind` ("x", "y" or "yhat") at `nodes`."""
+        mask = 0
+        for node in nodes:
+            axis = self._axis.get((kind, node))
+            if axis is None:
+                raise UnknownVariableError(f"no variable {kind}{node} in this joint")
+            mask |= self._bits[axis]
+        return mask
 
-        A view of the table orders its axes as two blocks, the kept axes and
-        the dropped ones, so that the sum runs along one contiguous axis: the
-        kept block goes inner when it has at least as many cells as the
-        dropped block, and outer otherwise.  The view is summed in slabs along
-        its leading axes, each copied to contiguous memory only when whole
-        rows are summed, so no copy holds more than SUM_SLAB_CELLS cells.
-
-        One dropped axis with no more cells than the kept block, as in each
-        step of the restriction walks of `cflayers floors`, needs no view: its
-        slices are added in order, starting from zero, the additions the
-        slabs make in the order they make them, so the sum is the same bit
-        for bit.
-        """
-        table = self._table
-        keep = [i for i, bit in enumerate(self._bits) if mask & bit]
-        if len(keep) == table.ndim:
-            return table
-        drop = [i for i, bit in enumerate(self._bits) if not mask & bit]
-        shape = tuple(table.shape[i] for i in keep)
-        kept = math.prod(shape)
-        dropped = table.size // kept
-        inner = kept >= dropped
-        if inner and len(drop) == 1:
-            parts = iter(np.moveaxis(table, drop[0], 0))
-            out = next(parts) + 0.0  # a new array, -0.0 turned to 0.0 as zeros + part does
-            for part in parts:
-                out += part
-            return out
-        view = table.transpose(drop + keep if inner else keep + drop)
-        lead, cells = 0, table.size  # a slab: view[idx] for idx over the `lead` leading axes
-        while cells > SUM_SLAB_CELLS:
-            cells //= view.shape[lead]
-            lead += 1
-        out = np.zeros(kept)  # the rows of the 2-D (dropped, kept) or (kept, dropped) view
-        for n, idx in enumerate(np.ndindex(view.shape[:lead])):
-            at, slab = n * cells, view[idx]
-            if inner and cells >= kept:  # whole rows, each as long as `out`
-                out += np.ascontiguousarray(slab).reshape(-1, kept).sum(axis=0)
-            elif inner:  # part of one row
-                part = out[at % kept:at % kept + cells].reshape(slab.shape)
-                part += slab
-            elif cells >= dropped:  # whole rows, each summed into one cell of `out`
-                rows = np.ascontiguousarray(slab).reshape(-1, dropped)
-                out[at // dropped:(at + cells) // dropped] = rows.sum(axis=1)
-            else:  # part of one row
-                out[at // dropped] += slab.sum()
-        return out.reshape(shape)
-
-    def _entropy(self, mask: int, variables=None) -> float:
-        # generic queries sum through the public `marginal`; relay queries do not
+    def _entropy(self, mask: int, variables=None, at=None) -> float:
+        """H of the variables in `mask`: the memo's, else summed by `_sum`
+        from `at` or this joint, or by `marginal` for the generic queries that
+        give `variables`."""
         memo = self._memo
         cached = memo.get(mask)
         if cached is None:
-            source = self._source(mask)
-            marg = (source._sum_to(mask) if variables is None else source.marginal(variables)).ravel()
+            marg = (self._sum(mask, at) if variables is None
+                    else self._source(mask).marginal(variables)).ravel()
             probs = marg if marg.min() > ZERO_MASS else marg[marg > ZERO_MASS]  # copies only to drop
             terms = np.log2(probs)  # p log2 p in place: no third table-size array
             terms *= probs
@@ -574,13 +599,21 @@ class JointPmf:
     def marginal(self, variables) -> np.ndarray:
         """Marginal table over `variables`, axes in canonical order; the
         read-only table itself when `variables` are all of this joint's."""
-        return self._sum_to(self._mask(variables))
+        return _sum_table(self._table, self._bits, self._mask(variables))
 
     def _source(self, mask: int) -> JointPmf:
         """The joint a new sum to `mask` reads: the kept relay table when it
         holds `mask`, this joint otherwise."""
         relay = self._relay_joint
         return relay if relay is not None and not mask & ~sum(relay._bits) else self
+
+    def _sum(self, mask: int, at=None) -> np.ndarray:
+        """The table of the variables in `mask`, summed from the kept relay
+        table when it holds them, else from `at`, a (table, bits) pair of this
+        distribution in this joint's memo-key space, or else from this joint."""
+        source = self._source(mask)
+        table, bits = at if at is not None and source is self else (source._table, source._bits)
+        return _sum_table(table, bits, mask)
 
     def relay_joint(self) -> JointPmf:
         """The restriction to (Xi, Yhi per relay, Yd), all that rate caps and
@@ -613,7 +646,7 @@ class JointPmf:
         axes = [i for i, bit in enumerate(bits) if mask & bit]
         kept = tuple(self._variables[i] for i in axes)
         if table is None:
-            table = self._source(mask)._sum_to(mask)
+            table = self._sum(mask)
         child = JointPmf._own(kept, table)
         # the same distribution, so one memo in one key space answers both
         child._bits, child._memo = tuple(self._bits[i] for i in axes), self._memo
@@ -655,17 +688,41 @@ class JointPmf:
 
     def mutual_info(self, a, b, c=frozenset()) -> float:
         """I(a ; b | c) in bits; tiny negatives from rounding are clamped to 0."""
-        a = frozenset(a)
-        b = frozenset(b)
-        c = frozenset(c)
-        value = self.cond_entropy(a, c) - self.cond_entropy(a, b | c)
-        if -1e-9 < value < 0.0:
-            return 0.0
-        return value
+        return _mutual_info(self._entropy, self._mask(a), self._mask(b), self._mask(c))
 
     def pair_entropy_sum(self, nodes) -> float:
         """Sum over the given relays of H(Xi, Yhi); 0 for the empty set."""
         return sum(self.entropy({self.x(i), self.yhat(i)}) for i in nodes)
+
+    def _walk(self, levels, at=None, mask=0, depth=0):
+        """Walk tables summed from this joint's, depth first, one level at a
+        time: at each level, each option of `levels[depth]` in turn, the memo
+        bits of the axes to sum away, or 0 to go on with the table as it is.
+
+        Yields (depth, mask, h) for this joint's table first, at depth 0, and
+        then for each table as it is summed, at the depth after its step:
+        `mask` is the table's memo key, and `h(m)` gives H(m) for any `m`
+        within `mask` as `_entropy` does, from the memo, else the kept relay
+        table when it holds `m`, else this table.  A table is summed like a
+        restriction, from the kept relay table when that holds its axes, else
+        from its parent; no JointPmf is made for it.  One table per depth is
+        alive, besides the one last yielded.  `at`, `mask` and `depth` give
+        the (table, bits) pair, key and depth to go on from.
+        """
+        if at is None:
+            at, mask = (self._table, self._bits), sum(self._bits)
+            yield 0, mask, partial(self._entropy, at=at)
+        if depth == len(levels):
+            return
+        for drop in levels[depth]:
+            if not drop:
+                yield from self._walk(levels, at, mask, depth + 1)
+                continue
+            key = mask & ~drop
+            child = self._sum(key, at), tuple(bit for bit in at[1] if not bit & drop)
+            yield depth + 1, key, partial(self._entropy, at=child)
+            yield from self._walk(levels, child, key, depth + 1)
+            del child  # before its sibling is summed
 
 
 def _build(spec: ChannelSpec, keep=None) -> JointPmf:

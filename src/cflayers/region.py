@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import EmptySubsetError, InvalidRatesError, InvalidSubsetError
 from .layering import Layering, active, prefix_union, validate_layering
-from .probability import JointPmf
+from .probability import JointPmf, _mutual_info
 
 DEFAULT_EPSILON = 1e-9
 
@@ -179,11 +179,12 @@ def _cap(joint: JointPmf, layering: Layering | None, s: frozenset[int]) -> float
     return total
 
 
-def _relay_subset(joint: JointPmf, s) -> frozenset[int]:
-    """`s` as a nonempty set of the joint's relays: the subset check of every cap."""
+def _relay_subset(joint: JointPmf, s, defined: str = "rate caps are defined") -> frozenset[int]:
+    """`s` as a nonempty set of the joint's relays: the subset check of every
+    cap, window and floor; `defined` begins the message for an empty `s`."""
     s = frozenset(s)
     if not s:
-        raise EmptySubsetError("rate caps are defined for nonempty subsets")
+        raise EmptySubsetError(f"{defined} for nonempty subsets")
     if not s <= joint.relay_set:
         raise InvalidSubsetError(f"nodes {sorted(s - joint.relay_set)} are not relays")
     return s
@@ -325,13 +326,21 @@ def pick_violator(report: ConstraintReport):
 
 def compression_floor(joint: JointPmf) -> dict[int, float]:
     """Per-relay minimum workable compression rate I(Yhi; Yi | Xi), in bits."""
-    return {i: relay_floor(joint, i) for i in joint.relays}
+    return {i: _relay_floor(joint, i, joint._entropy) for i in joint.relays}
 
 
 def relay_floor(joint: JointPmf, i: int) -> float:
     """Relay i's compression floor I(Yhi; Yi | Xi), in bits, on any joint that
     keeps Yi."""
-    return joint.mutual_info({joint.yhat(i)}, {joint.y(i)}, {joint.x(i)})
+    (i,) = _relay_subset(joint, {i})
+    return _relay_floor(joint, i, joint._entropy)
+
+
+def _relay_floor(joint: JointPmf, i: int, h) -> float:
+    """`relay_floor` with its entropies from `h`, a function of a mask in the
+    memo-key space of `joint`."""
+    key = joint._key
+    return _mutual_info(h, key("yhat", [i]), key("y", [i]), key("x", [i]))
 
 
 def floor_sum(floors: dict[int, float], s) -> float:
@@ -350,16 +359,18 @@ def mi_gap(joint: JointPmf, s) -> float:
     """Slack of the mutual-information form of subset `s`'s window condition:
     I(X_s; Yh_G Yd | X_G) - I(Yh_s; Y_s | X_R Yh_G Yd), the form matching the
     outer region."""
-    s = frozenset(s)
-    if not s:
-        raise EmptySubsetError("the window condition is defined for nonempty subsets")
-    rest = joint.relay_set - s
-    lhs = joint.mutual_info(
-        joint.yhats(s),
-        joint.ys(s),
-        joint.xs(joint.relay_set) | joint.yhats(rest) | {joint.yd},
-    )
-    rhs = joint.mutual_info(joint.xs(s), joint.yhats(rest) | {joint.yd}, joint.xs(rest))
+    s = _relay_subset(joint, s, "the window condition is defined")
+    return _mi_gap(joint, s, joint._entropy)
+
+
+def _mi_gap(joint: JointPmf, s: frozenset[int], h) -> float:
+    """`mi_gap` of a checked subset `s`, with its entropies from `h`, a
+    function of a mask in the memo-key space of `joint`."""
+    key, rest = joint._key, joint.relay_set - s
+    yd = key("y", [joint.d])
+    given = key("x", joint.relays) | key("yhat", rest) | yd  # X_R Yh_G Yd
+    lhs = _mutual_info(h, key("yhat", s), key("y", s), given)
+    rhs = _mutual_info(h, key("x", s), key("yhat", rest) | yd, key("x", rest))
     return rhs - lhs
 
 
@@ -373,9 +384,7 @@ def window_gap_forms(joint: JointPmf, s) -> tuple[float, ...]:
     its own input and observation), so all nine agree for any joint built by
     `build_joint`.
     """
-    s = frozenset(s)
-    if not s:
-        raise EmptySubsetError("window gaps are defined for nonempty subsets")
+    s = _relay_subset(joint, s, "window gaps are defined")
     rest = joint.relay_set - s
     h = joint.entropy
     hc = joint.cond_entropy
@@ -407,5 +416,5 @@ def window_gap_forms(joint: JointPmf, s) -> tuple[float, ...]:
         hc(yhs(s), xs(joint.relay_set) | yhs(rest) | {yd})
         - hc(yhs(s), xs(joint.relay_set) | ys(s) | yhs(rest) | {yd})
     )
-    g9 = mi_gap(joint, s)
+    g9 = _mi_gap(joint, s, joint._entropy)
     return (g1, g2, g3, g4, g5, g6, g7, g8, g9)

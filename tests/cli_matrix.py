@@ -1,0 +1,167 @@
+"""Run `cflayers` commands in-process on a fixed matrix of seeded inputs.
+
+    python tests/cli_matrix.py                # one line per output
+    python tests/cli_matrix.py --against REV  # the outputs that differ from REV's
+
+Channels are `demo_spec(n, s)` for s in 1, 7 and 301: `floors` in JSON and
+text for n = 1..7; `check`, `check --layering` (one relay per layer, highest
+first) and `solve`, in JSON and text, and `demo` for n = 1..6; `export` for
+n <= 5 and `export --vertices` for n <= 3.  `floors` also runs on seeded
+mixed-alphabet `random_spec` channels.  The rates put every relay but the
+lowest at 1e-5, and the lowest at 0.99 of the largest rate its outer caps
+then allow, so `solve` shifts on most channels.
+
+Each output is one `cli.main` call; a line gives its name, exit code, the
+sha256 of its stdout and its stderr.  With `--against`, the same calls run
+in a child process on the package of REV, checked out in a temporary `git
+worktree`, on the same input files; each output that differs is listed with
+its count of differing numbers and the largest difference, and the exit
+code is 1 if any differs.  The bits depend on the numpy build, so compare
+two revisions on one machine rather than against a stored digest.  Not a
+test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 7, 301)
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN")
+
+
+def make_cases(inputs: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every call, after writing its channel and rate files to `inputs`."""
+    import numpy as np
+
+    import cflayers as cf
+    from conftest import random_spec
+
+    cases = []
+    for n in range(1, 8):
+        for s in SEEDS:
+            spec, tag = cf.demo_spec(n, s), f"n{n}s{s}"
+            channel = ["--channel", str(inputs / f"{tag}.json")]
+            spec.save(inputs / f"{tag}.json")
+            cases += [(f"floors {tag} {fmt}", ["floors", *channel, "--format", fmt])
+                      for fmt in ("json", "text")]
+            if n == 7:
+                continue
+            rates = ["--rates", str(inputs / f"{tag}_rates.json")]
+            (inputs / f"{tag}_rates.json").write_text(json.dumps(_rates(cf, spec)))
+            layering = "|".join(str(i) for i in reversed(spec.relay_nodes))
+            for fmt in ("json", "text"):
+                tail = [*channel, *rates, "--format", fmt]
+                cases += [(f"check {tag} {fmt}", ["check", *tail]),
+                          (f"check-layering {tag} {fmt}", ["check", *tail, "--layering", layering]),
+                          (f"solve {tag} {fmt}", ["solve", *tail])]
+            cases.append((f"demo {tag}", ["demo", "--relays", str(n), "--seed", str(s)]))
+            if n <= 5:
+                cases.append((f"export {tag}", ["export", *channel]))
+            if n <= 3:
+                cases.append((f"export-vertices {tag}", ["export", *channel, "--vertices"]))
+    for n in range(1, 5):
+        for s in SEEDS:
+            tag = f"random-n{n}s{s}"
+            random_spec(np.random.default_rng(s), n).save(inputs / f"{tag}.json")
+            cases += [(f"floors {tag} {fmt}", ["floors", "--channel", str(inputs / f"{tag}.json"),
+                                               "--format", fmt]) for fmt in ("json", "text")]
+    return cases
+
+
+def _rates(cf, spec) -> dict:
+    caps = cf.region.region_caps(cf.build_relay_joint(spec), None)
+    low = min(spec.relay_nodes)
+    top = 0.99 * min(cap - 1e-5 * (len(s) - 1) for s, cap in caps if low in s)
+    return {"rates": {str(i): top if i == low else 1e-5 for i in spec.relay_nodes}}
+
+
+def run_cases(cases) -> dict[str, tuple[int, str, str]]:
+    """name -> (exit code, stderr, stdout) of each call, in-process."""
+    from cflayers.cli import main
+
+    results = {}
+    for name, argv in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        results[name] = (code, err.getvalue(), out.getvalue())
+    return results
+
+
+def _difference(mine: str, theirs: str) -> str:
+    a, b = NUMBER.findall(mine), NUMBER.findall(theirs)
+    if len(a) != len(b) or NUMBER.sub("#", mine) != NUMBER.sub("#", theirs):
+        return "text differs apart from its numbers"
+    pairs = [(float(x), float(y)) for x, y in zip(a, b) if x != y]
+    if not pairs:
+        return "0 numbers differ"
+    return f"{len(pairs)} numbers differ, by at most {max(abs(x - y) for x, y in pairs):.3g}"
+
+
+def against(rev: str, cases, mine) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tree, case_file = Path(tmp) / "tree", Path(tmp) / "cases.json"
+        case_file.write_text(json.dumps(cases))
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tree), rev], check=True)
+        try:
+            child = subprocess.run(
+                [sys.executable, __file__, "--src", str(tree / "src"), "--cases", str(case_file)],
+                check=True, capture_output=True, text=True)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+    theirs = json.loads(child.stdout)
+    differ = 0
+    for name, _ in cases:
+        (code, err, out), (their_code, their_err, their_out) = mine[name], theirs[name]
+        notes = [f"exit {their_code} -> {code}"] * (code != their_code)
+        notes += ["stderr differs"] * (err != their_err)
+        if out != their_out:
+            notes.append(_difference(out, their_out))
+        if notes:
+            differ += 1
+            print(f"{name}: " + "; ".join(notes))
+    print(f"{len(cases)} outputs, {differ} differ from {rev}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV", help="compare with the package at REV")
+    parser.add_argument("--src", default=str(ROOT / "src"), help=argparse.SUPPRESS)
+    parser.add_argument("--cases", help=argparse.SUPPRESS)  # a child's calls, as JSON
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import cflayers
+
+    if not Path(cflayers.__file__).resolve().is_relative_to(Path(args.src).resolve()):
+        raise SystemExit(f"cflayers was imported from {cflayers.__file__}, not from {args.src}")
+    if args.cases is not None:
+        results = run_cases(json.loads(Path(args.cases).read_text()))
+        json.dump(results, sys.stdout)
+        return 0
+    with tempfile.TemporaryDirectory() as inputs:
+        cases = make_cases(Path(inputs))
+        mine = run_cases(cases)
+        if args.against is not None:
+            return against(args.against, cases, mine)
+    for name, _ in cases:
+        code, err, out = mine[name]
+        print(f"{name}: exit {code} sha256 {hashlib.sha256(out.encode()).hexdigest()} "
+              f"stderr {json.dumps(err)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

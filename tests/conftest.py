@@ -75,6 +75,45 @@ def thin_spec(n_relays, letters=1):
     )
 
 
+def symmetric_spec(q, r, q_d=0.1):
+    """Binary channel of binary symmetric pieces, every input uniform: the j-th
+    relay i sees Y_i = X1 + noise(q[j]) and sends Yh_i = Y_i + noise(r[j]), and
+    Yd = X1 + sum of X_i + noise(q_d), all mod 2, each noise independent and 1
+    with the probability given.  A probability of 0 puts exact zeros in the
+    tables, which no demo or random channel has."""
+    n = len(q)
+
+    def flip(p):  # p(b | a) of b = a + noise(p)
+        return np.array([[1.0 - p, p], [p, 1.0 - p]])
+
+    at = np.indices((2,) * (2 * n + 2))  # X1, X_i per relay, Y_i per relay, Yd
+    channel = flip(q_d)[(at[0] + at[1:n + 1].sum(axis=0)) % 2, at[-1]]
+    for j in range(n):
+        channel = channel * flip(q[j])[at[0], at[n + 1 + j]]
+    relays = tuple(
+        cf.RelaySpec(2 + j, 2, 2, 2, np.full(2, 0.5), np.broadcast_to(flip(r[j]), (2, 2, 2)))
+        for j in range(n)
+    )
+    return cf.ChannelSpec(n + 2, 2, np.full(2, 0.5), relays, 2, channel)
+
+
+# (q, r) per relay of a noisy family -> the family's (q, r); "mixed" needs two relays
+SYMMETRIC_FAMILIES = {
+    "noisy": lambda q, r: (q, r),
+    "deterministic": lambda q, r: (q, [0.0] * len(r)),  # compressions: Yh_i = Y_i
+    "noiseless": lambda q, r: ([0.0] * len(q), [0.0] * len(r)),  # Yh_i = Y_i = X1
+    "useless": lambda q, r: ([0.5] * len(q), r),  # Y_i independent of X1
+    "mixed": lambda q, r: ([0.0, *q[1:-1], 0.5], [0.0, *r[1:]]),  # one noiseless, one useless
+}
+
+
+def symmetric_family(name, n):
+    """The `n`-relay channel of one of SYMMETRIC_FAMILIES."""
+    q, r = SYMMETRIC_FAMILIES[name]([0.1 + 0.05 * j for j in range(n)],
+                                    [0.2 - 0.03 * j for j in range(n)])
+    return symmetric_spec(q, r)
+
+
 @pytest.fixture(scope="session")
 def seven_relays():
     """Seven relays, one past `layering.MAX_ENUM_RELAYS`, in a 512-cell joint."""
@@ -87,7 +126,7 @@ def seven_relays():
 def no_entropy(monkeypatch):
     """Fail any entropy evaluation, generic or relay-set, while the test runs."""
 
-    def refuse(self, *args):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("an entropy was computed")
 
     monkeypatch.setattr(cf.JointPmf, "_entropy", refuse)
@@ -117,15 +156,16 @@ def no_table(monkeypatch):
 
 @pytest.fixture
 def summed_sizes(monkeypatch):
-    """The size of every table a marginal is summed from while the test runs, in order."""
+    """The size of every table a marginal is summed from while the test runs, in order:
+    every sum, of a joint or of a table of `JointPmf._walk`, goes through one kernel."""
     sizes = []
-    sum_to = cf.JointPmf._sum_to
+    sum_table = cf.probability._sum_table
 
-    def counted(self, mask):
-        sizes.append(self.table.size)
-        return sum_to(self, mask)
+    def counted(table, bits, mask):
+        sizes.append(table.size)
+        return sum_table(table, bits, mask)
 
-    monkeypatch.setattr(cf.JointPmf, "_sum_to", counted)
+    monkeypatch.setattr(cf.probability, "_sum_table", counted)
     return sizes
 
 

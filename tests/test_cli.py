@@ -9,7 +9,8 @@ import pytest
 import cflayers as cf
 from cflayers.cli import main
 
-from conftest import thin_spec
+from _factor_oracle import FactorOracle
+from conftest import SYMMETRIC_FAMILIES, symmetric_family, thin_spec
 from test_layering import BAD_LAYERING_TOKENS
 from test_probability import NON_NUMBER_SPEC_EDITS, mixed_specs, nudged_spec_obj
 from test_region import MISTYPED_RATE_FILES
@@ -472,10 +473,10 @@ class TestFloors:
         missed = []
         entropy = cf.JointPmf._entropy
 
-        def counted(self, mask, variables=None):
+        def counted(self, mask, *args, **kwargs):  # queries of joints and of walked tables
             if mask not in self._memo:
                 missed.append(mask)
-            return entropy(self, mask, variables)
+            return entropy(self, mask, *args, **kwargs)
 
         monkeypatch.setattr(cf.JointPmf, "_entropy", counted)
         assert main(["floors", "--channel", demo3_file]) == 0
@@ -502,19 +503,19 @@ class TestFloors:
                 assert close(e["floor_sum"], cf.region.floor_sum(floors, s))
 
     def test_ternary_y_matches_library_unrounded(self, tmp_path, capsys, monkeypatch):
-        # floors read the singleton subset joints and windows the one-axis walk,
+        # floors read the singleton subset tables T({i}) and windows the one-axis walk,
         # the library the full joint: without the printed rounding they agree to 1e-12
         monkeypatch.setattr(cf.cli, "fmt12", float)
         one_axis = []
-        sum_to = cf.JointPmf._sum_to
+        sum_table = cf.probability._sum_table
 
-        def summing(self, mask):
-            dropped = [v.size for v, bit in zip(self.variables, self._bits) if not mask & bit]
+        def summing(table, bits, mask):
+            dropped = [size for size, bit in zip(table.shape, bits) if not mask & bit]
             if len(dropped) == 1:
                 one_axis.append(dropped[0])
-            return sum_to(self, mask)
+            return sum_table(table, bits, mask)
 
-        monkeypatch.setattr(cf.JointPmf, "_sum_to", summing)
+        monkeypatch.setattr(cf.probability, "_sum_table", summing)
         for k, spec in enumerate(mixed_specs()):
             path = tmp_path / f"mixed{k}.json"
             spec.save(path)
@@ -577,6 +578,55 @@ class TestFloors:
         assert main(["floors", "--channel", str(path), "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert all(not e["window_nonempty"] for e in obj["subsets"])
+
+
+STRUCTURED = [(family, n) for family in SYMMETRIC_FAMILIES for n in range(1, 6)
+              if family != "mixed" or n >= 2]
+
+
+class TestStructuredFloors:
+    """`floors` on channels of binary symmetric pieces, some with exact zeros."""
+
+    @pytest.mark.parametrize("family, n", STRUCTURED)
+    def test_matches_library_and_factor_oracle(self, tmp_path, capsys, monkeypatch, family, n):
+        monkeypatch.setattr(cf.cli, "fmt12", float)  # the printed numbers unrounded
+        spec = symmetric_family(family, n)
+        spec.save(tmp_path / "chan.json")
+        assert main(["floors", "--channel", str(tmp_path / "chan.json"), "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["consistent"] is True
+        full, oracle = cf.build_joint(spec), FactorOracle(spec)
+        floors = cf.compression_floor(full)
+        assert obj["floors"] == {str(i): pytest.approx(f, abs=1e-12) for i, f in floors.items()}
+        assert len(obj["subsets"]) == 2 ** n - 1
+        for e in obj["subsets"]:
+            assert e["mi_gap"] == pytest.approx(cf.mi_gap(full, e["subset"]), abs=1e-12)
+            assert e["boundary_rhs"] == pytest.approx(oracle.outer_cap(e["subset"]), abs=1e-12)
+
+    def test_walk_reads_exact_zeros(self, tmp_path, capsys, monkeypatch):
+        # a walked table's entropy drops the cells at or below ZERO_MASS
+        asked, zeros = [], []
+        sum_table, entropy = cf.probability._sum_table, cf.JointPmf._entropy
+
+        def entropy_of(self, mask, variables=None, at=None):
+            asked.append(None if at is None else at[0])
+            try:
+                return entropy(self, mask, variables, at)
+            finally:
+                asked.pop()
+
+        def summing(table, bits, mask):
+            out = sum_table(table, bits, mask)
+            if asked and table is asked[-1] and out.min() <= cf.probability.ZERO_MASS:
+                zeros.append(out.size)
+            return out
+
+        monkeypatch.setattr(cf.JointPmf, "_entropy", entropy_of)
+        monkeypatch.setattr(cf.probability, "_sum_table", summing)
+        symmetric_family("noiseless", 3).save(tmp_path / "chan.json")
+        assert main(["floors", "--channel", str(tmp_path / "chan.json")]) == 0
+        assert "INCONSISTENT" not in capsys.readouterr().out
+        assert zeros
 
 
 class TestUsage:

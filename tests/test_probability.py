@@ -1,5 +1,6 @@
 """Channel spec validation, joint construction, and the entropy engine."""
 
+import inspect
 import io
 import json
 import math
@@ -503,28 +504,31 @@ class TestFamily:
     def test_cli_sums_read_the_joint_asked_or_its_relay_table(self, tmp_path, monkeypatch,
                                                               capsys):
         asked, strays, sums, checks = [], [], [], []
-        sum_to, check = cf.JointPmf._sum_to, cf.JointPmf._check
+        sum_table, check = cf.probability._sum_table, cf.JointPmf._check
 
-        def summing(self, mask):
-            joint = asked[-1] if asked else self
-            if self is not joint and self is not joint._relay_joint:
-                strays.append(self)
-            if any(not mask & bit for bit in self._bits):  # keeping every axis sums nothing
-                sums.append(str(self.table.size.bit_length() - 12))
-            return sum_to(self, mask)
+        def summing(table, bits, mask):
+            # the table asked, a joint's or one of `_walk`'s, or the joint's relay table
+            if not asked or all(table is not t for t in asked[-1]):
+                strays.append(table)
+            if any(not mask & bit for bit in bits):  # keeping every axis sums nothing
+                sums.append(str(table.size.bit_length() - 12))
+            return sum_table(table, bits, mask)
 
         def asking(method):
-            def wrapped(self, *args):
-                asked.append(self)
+            def wrapped(self, *args, **kwargs):
+                at = inspect.signature(method).bind(self, *args, **kwargs).arguments.get("at")
+                relay = self._relay_joint
+                asked.append((self._table if at is None else at[0], relay and relay._table))
                 try:
-                    return method(self, *args)
+                    return method(self, *args, **kwargs)
                 finally:
                     asked.pop()
             return wrapped
 
-        monkeypatch.setattr(cf.JointPmf, "_sum_to", summing)
+        monkeypatch.setattr(cf.probability, "_sum_table", summing)
         monkeypatch.setattr(cf.JointPmf, "_check", lambda self: checks.append(check(self)))
-        for name in ("_entropy", "_restrict"):  # every sum starts in one of these
+        # every sum starts in one of these: a restriction and a walk step sum by `_sum`
+        for name in ("_entropy", "_sum"):
             monkeypatch.setattr(cf.JointPmf, name, asking(getattr(cf.JointPmf, name)))
         cf.demo_spec(6, 7).save(tmp_path / "c6.json")
         cf.demo_spec(5, 7).save(tmp_path / "c5.json")
@@ -544,21 +548,22 @@ class TestFamily:
         capsys.readouterr()
         assert strays == [] and got == CLI_SUMS
         # only the table each command builds is checked: not its relay table, made of
-        # the same validated factors, nor a restriction, which sums a checked table
+        # the same validated factors, nor a restriction or walked table, which sums a
+        # checked table
         assert checked == dict.fromkeys(runs, 1)
 
     def test_floors_reads_each_floor_from_a_singleton_joint(self, tmp_path, monkeypatch,
                                                              capsys):
         sums = []  # (cells read, axes kept) per sum
-        sum_to = cf.JointPmf._sum_to
+        sum_table = cf.probability._sum_table
 
-        def summing(self, mask):
-            kept = sum(1 for bit in self._bits if mask & bit)
-            if kept < self.table.ndim:
-                sums.append((self.table.size, kept))
-            return sum_to(self, mask)
+        def summing(table, bits, mask):
+            kept = sum(1 for bit in bits if mask & bit)
+            if kept < table.ndim:
+                sums.append((table.size, kept))
+            return sum_table(table, bits, mask)
 
-        monkeypatch.setattr(cf.JointPmf, "_sum_to", summing)
+        monkeypatch.setattr(cf.probability, "_sum_table", summing)
         cf.demo_spec(6, 7).save(tmp_path / "c6.json")
         assert cf.cli.main(["floors", "--channel", str(tmp_path / "c6.json")]) == 0
         capsys.readouterr()
@@ -595,6 +600,35 @@ CLI_SUMS = {
     "solve": "2" * 224,
     "export": "0" * 247,
 }
+
+
+class TestWalk:
+    """`JointPmf._walk`, the table walker of `cflayers floors`."""
+
+    def test_one_table_per_depth(self, monkeypatch):
+        joint = cf.probability._build(cf.demo_spec(4, 7), lambda v: v.label != "X1")
+        made = []  # every table the walk sums, by weak reference
+        sum_table = cf.probability._sum_table
+
+        def summing(table, bits, mask):
+            out = sum_table(table, bits, mask)
+            if out is not table:
+                made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(cf.probability, "_sum_table", summing)
+        ys = {i: joint._key("y", [i]) for i in joint.relays}
+        windows = [(ys[i], joint._key("yhat", [i])) for i in joint.relays]
+        subsets = [(ys[i], 0) for i in reversed(joint.relays)]
+        root = sum(joint._bits)
+        for levels, tables in ((windows, 2 ** 5 - 3), (subsets, 2 ** 4 - 2)):
+            made.clear()
+            for _, mask, _ in joint._walk(levels):
+                # the tables on the path to this one, one per axis it drops: no sibling
+                # and no table of a step that went on with its parent's table
+                assert sum(ref() is not None for ref in made) <= (root & ~mask).bit_count()
+            # each step sums a table, but the relay table, the leaf that drops every Y
+            assert len(made) == tables
 
 
 class TestKeptRelayTable:
@@ -643,32 +677,29 @@ class TestKeptRelayTable:
         assert made._relay_joint is None
         assert root._relay_joint is not None and x1_free._relay_joint is not None
 
-    def test_floors_restrictions_hold_the_root_relay_table(self, tmp_path, monkeypatch,
-                                                           capsys):
-        roots, children = [], []
-        build, restrict = cf.cli._build, cf.JointPmf._restrict
+    def test_floors_relay_entries_are_the_relay_joints(self, tmp_path, monkeypatch, capsys):
+        roots = []
+        build = cf.cli._build
 
         def building(*args):
             roots.append(build(*args))
             return roots[-1]
 
-        def restricting(self, *args):
-            children.append(restrict(self, *args))
-            return children[-1]
-
         monkeypatch.setattr(cf.cli, "_build", building)
-        monkeypatch.setattr(cf.JointPmf, "_restrict", restricting)
-        cf.demo_spec(4, 7).save(tmp_path / "c4.json")
+        spec = cf.demo_spec(4, 7)
+        spec.save(tmp_path / "c4.json")
         assert cf.cli.main(["floors", "--channel", str(tmp_path / "c4.json")]) == 0
         capsys.readouterr()
         (root,) = roots
-        relay = root._relay_joint
-        axes = set(relay.variables)
-        keeping = [c for c in children if c is not relay and axes <= set(c.variables)]
-        # the subset joints T(S), S a proper nonempty subset, and the window walk's
-        # joints that drop only Y axes
-        assert len(keeping) == 14 + 4
-        assert all(c._relay_joint is relay for c in keeping)
+        held = sum(root._relay_joint._bits)
+        relay = {mask: h for mask, h in root._memo.items() if not mask & ~held}
+        # the cap terms and the floors' and windows' H(X_i), H(X_i, Yhi), H(X_G) and
+        # H(X_R), whichever table of either walk asked them first: each is summed from
+        # the kept relay table, bit for bit as `build_relay_joint` sums it
+        reference = cf.build_relay_joint(spec)
+        assert len(relay) > 2 ** 4 and relay == {
+            mask: reference.entropy(v for v, bit in zip(root.variables, root._bits) if mask & bit)
+            for mask in relay}
 
     def test_it_dies_with_its_joint(self):
         root = cf.build_joint(cf.demo_spec(3, 7))
@@ -698,8 +729,14 @@ def kernel_masks(ndim):
     return [0] + one + [full & ~bit for bit in one] + [full // 3, full // 3 << 1]
 
 
+def sum_to(joint, mask):
+    """The kernel's sum of a joint's table to `mask`."""
+    return cf.probability._sum_table(joint.table, joint._bits, mask)
+
+
 class TestSumTo:
-    """`_sum_to` sums one contiguous block per slab; numpy's multi-axis sum is the reference."""
+    """`_sum_table` sums one contiguous block per slab; numpy's multi-axis sum is the
+    reference."""
 
     # small slabs run every branch: parts of one row and runs of whole rows
     @pytest.mark.parametrize("slab", [1, 5, 64, cf.probability.SUM_SLAB_CELLS])
@@ -711,7 +748,7 @@ class TestSumTo:
         for mask in kernel_masks(table.ndim):
             drop = tuple(i for i in range(table.ndim) if not mask >> i & 1)
             want = table.sum(axis=drop)
-            got = joint._sum_to(mask)
+            got = sum_to(joint, mask)
             assert got.shape == want.shape  # 0-d for the empty mask
             assert np.max(np.abs(got - want)) <= 1e-15 * table.size
 
@@ -731,11 +768,11 @@ class TestSumTo:
             want = parts[0]
             for part in parts[1:]:
                 want = want + part  # ((s0 + s1) + s2) + ...
-            assert np.array_equal(joint._sum_to(full & ~(1 << axis)), want)
+            assert np.array_equal(sum_to(joint, full & ~(1 << axis)), want)
 
     def test_keep_all_returns_the_table(self):
         joint = mixed_joint(np.random.default_rng(0))
-        assert joint._sum_to((1 << joint.table.ndim) - 1) is joint.table
+        assert sum_to(joint, (1 << joint.table.ndim) - 1) is joint.table
 
     @pytest.mark.parametrize("slab", [5, cf.probability.SUM_SLAB_CELLS])
     def test_members_agree(self, monkeypatch, summed_sizes, slab):
@@ -757,7 +794,7 @@ class TestSumTo:
         mask = joint._mask(relay_axes(joint))
         tracemalloc.start()
         try:
-            out = joint._sum_to(mask)
+            out = sum_to(joint, mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -488,6 +488,37 @@ class TestWindowIdentities:
             assert cf.window_gap_forms(demo3, s)[0] == pytest.approx(want, abs=1e-12)
 
 
+class TestWindowSubsets:
+    """The window and floor terms check their subset as the caps do, before any entropy."""
+
+    @pytest.mark.parametrize("term", [cf.mi_gap, cf.window_gap_forms])
+    def test_node_outside_relays(self, demo2, no_entropy, term):
+        with pytest.raises(cf.InvalidSubsetError, match=r"nodes \[9\] are not relays"):
+            term(demo2, {2, 9})
+
+    @pytest.mark.parametrize("term, defined", [
+        (cf.mi_gap, "the window condition is defined"),
+        (cf.window_gap_forms, "window gaps are defined"),
+    ])
+    def test_empty_subset(self, demo2, no_entropy, term, defined):
+        with pytest.raises(cf.EmptySubsetError, match=f"^{defined} for nonempty subsets$"):
+            term(demo2, frozenset())
+
+    def test_floor_of_a_node_outside_relays(self, demo2, no_entropy):
+        with pytest.raises(cf.InvalidSubsetError, match=r"nodes \[9\] are not relays"):
+            cf.region.relay_floor(demo2, 9)
+
+    @pytest.mark.parametrize("term", [
+        lambda joint: cf.region.relay_floor(joint, 2),
+        lambda joint: cf.mi_gap(joint, {2}),
+        lambda joint: cf.window_gap_forms(joint, {2, 3}),
+    ])
+    def test_joint_without_y_has_no_such_variable(self, term):
+        # the relay joint keeps no Yi: the subset is fine, the variable is missing
+        with pytest.raises(cf.UnknownVariableError, match="no variable y2 in this joint"):
+            term(cf.build_relay_joint(cf.demo_spec(2, 7)))
+
+
 class TestBlockEntropyChainRule:
     def test_split_and_merge(self, demo3):
         rng = np.random.default_rng(14)
