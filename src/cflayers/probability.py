@@ -7,9 +7,11 @@ The joint factors as
 
     p(x1) * prod_i p(xi) * p(y2..yd | x1..x_{d-1}) * prod_i p(yhi | xi, yi)
 
-and is stored as one dense table, summed inside one einsum straight to the
-variables read: every one (`build_joint`), or (Xi, Yhi per relay, Yd) only
-(`build_relay_joint`), which is all the rate caps and the shift search read.
+and is stored as one dense table over the variables read: every one
+(`build_joint`), the factors multiplied cell by cell in that order, or (Xi,
+Yhi per relay, Yd) only (`build_relay_joint`), which is all the rate caps and
+the shift search read, contracted along the network: X1 summed into the
+channel, then each relay's compression and input folded in, node by node.
 The source observation y1 and the destination input x_d never enter any
 computed quantity and are marginalized away at construction.
 
@@ -725,19 +727,72 @@ class JointPmf:
             del child  # before its sibling is summed
 
 
+def _product(factors: list, shape: tuple) -> np.ndarray:
+    """The table of `shape` over every axis that the (array, axes) `factors`
+    multiply to, each cell their product taken left to right, as `np.einsum`
+    without optimization takes it: bit for bit its table.  The factors are
+    multiplied by broadcasting, a slab of at most SUM_SLAB_CELLS cells of the
+    table at a time, so no temporary is larger than a slab."""
+    spread = []  # each factor as a view over every axis, of size 1 on those it does not span
+    for factor, axes in factors:
+        spread.append(np.expand_dims(factor.transpose(np.argsort(axes)),
+                                     [k for k in range(len(shape)) if k not in axes]))
+    table = np.empty(shape)
+    lead, cells = 0, table.size  # a slab: table[idx] for idx over the `lead` leading axes
+    while cells > SUM_SLAB_CELLS:
+        cells //= shape[lead]
+        lead += 1
+    for idx in np.ndindex(shape[:lead]):
+        parts = [f[tuple(i if f.shape[k] > 1 else 0 for k, i in enumerate(idx))] for f in spread]
+        product = parts[0]
+        for part in parts[1:-1]:
+            product = product * part
+        np.multiply(product, parts[-1], out=table[idx])
+    if any(np.signbit(factor).any() for factor, _ in factors):
+        table += 0.0  # einsum adds each product to a zero: no cell is -0.0
+    return table
+
+
+def _contract(factors: list, axes: list) -> np.ndarray:
+    """The table over `axes` of the (array, axes) `factors` in `_build`'s
+    order, the other axes summed, contracted pairwise along the network:
+    X1 is summed into the channel first; then each relay in node order folds
+    its compression into the channel, its Y summed, or, when its Y is kept,
+    into its input; then each relay's input, or that product, is folded into
+    the channel in node order.  On binary specs this is the path einsum's
+    greedy search picks, so the table is its table bit for bit, and no
+    search is run."""
+    channel = len(factors) // 2  # p(x1), n inputs, the channel, n compressions
+    inputs = range(1, channel)
+    folds = [(0, channel)]  # (factor, factor it is folded into), by place in `factors`
+    for j in inputs:  # relay j's compression, over its (Xi, Yi, Yhi)
+        folds.append((channel + j, j if factors[channel + j][1][1] in axes else channel))
+    folds += [(j, channel) for j in inputs]
+    live, path = list(range(len(factors))), ["einsum_path"]
+    for a, b in folds:  # einsum appends each product to its operands
+        path.append(tuple(sorted((live.index(a), live.index(b)))))
+        live.remove(a)
+        live.remove(b)
+        live.append(b)
+    args = [x for factor in factors for x in factor]
+    return np.einsum(*args, axes, optimize=path)
+
+
 def _build(spec: ChannelSpec, keep=None) -> JointPmf:
     """The joint of the variables `keep` is true for, or of the relay axes
-    (Xi, Yhi per relay, Yd) if `keep` is None, in canonical order; the rest
-    are summed out inside the one einsum.  When `keep` holds more than the
-    relay axes, the joint keeps the relay table, contracted by the same call.
+    (Xi, Yhi per relay, Yd) if `keep` is None, in canonical order.  When
+    `keep` holds more than the relay axes, the joint keeps the relay table,
+    contracted from the spec's factors too.
 
     Validates `spec`, checks the table and applies the cell cap to the full
     index space, so every caller accepts the same specs whatever it keeps.
-    Each einsum axis is labelled by its canonical position: X1 is 0, relay j
-    owns Xi, Yi, Yhi at 3j+1..3j+3, and Yd is last.  The full joint is
-    multiplied in one pass; any other is contracted pairwise and never builds
-    the full table (the relay joint at 6-7 binary relays: 2-5 ms on a 2-vCPU
-    Xeon, against 0.07-1 s).
+    Each axis is labelled by its canonical position: X1 is 0, relay j owns
+    Xi, Yi, Yhi at 3j+1..3j+3, and Yd is last.  The factors are p(x1), each
+    p(xi), the channel, and each p(yhi | xi, yi), in that order.  The full
+    joint is their product (`_product`); any other is contracted along the
+    network (`_contract`) and never builds the full table (the relay joint
+    at 6-7 binary relays: 0.5-1.1 ms on a 2-vCPU Xeon, against 9-75 ms for
+    the full one).
     """
     issues = validate_spec(spec)
     if issues:
@@ -762,20 +817,21 @@ def _build(spec: ChannelSpec, keep=None) -> JointPmf:
 
     x_ax = [3 * j + 1 for j in range(len(spec.relays))]
     y_ax = [a + 1 for a in x_ax] + [len(variables) - 1]
-    args = [spec.p_x1, [0]]
-    for r, a in zip(spec.relays, x_ax):
-        args += [r.p_x, [a]]
-    args += [spec.channel, [0] + x_ax + y_ax]
-    for r, a in zip(spec.relays, x_ax):
-        args += [r.p_yhat, [a, a + 1, a + 2]]
+    factors = [(spec.p_x1, [0])]
+    factors += [(r.p_x, [a]) for r, a in zip(spec.relays, x_ax)]
+    factors.append((spec.channel, [0] + x_ax + y_ax))
+    factors += [(r.p_yhat, [a, a + 1, a + 2]) for r, a in zip(spec.relays, x_ax)]
     relay_axes = [i for i, v in enumerate(variables)
                   if v.label != "X1" and (v.kind != "y" or v.node == spec.d)]
     axes = relay_axes if keep is None else [i for i, v in enumerate(variables) if keep(v)]
-    table = np.einsum(*args, axes, optimize=len(axes) < len(variables))
+    if len(axes) == len(variables):
+        table = _product(factors, tuple(v.size for v in variables))
+    else:
+        table = _contract(factors, axes)
     joint = JointPmf._own(tuple(variables[i] for i in axes), table)
     joint._check()
     if axes != relay_axes:
-        relay = np.einsum(*args, relay_axes, optimize=True)
+        relay = _contract(factors, relay_axes)
         joint._relay_joint = joint._restrict(joint._mask(variables[i] for i in relay_axes), relay)
     return joint
 
@@ -783,8 +839,10 @@ def _build(spec: ChannelSpec, keep=None) -> JointPmf:
 def build_joint(spec: ChannelSpec) -> JointPmf:
     """Multiply the spec's factors into the dense joint table over every variable.
 
-    Raises InvalidSpecError when validation fails and TableTooLargeError when
-    the table would exceed MAX_TABLE_CELLS (2^24) entries.
+    Each cell is p(x1) * p(x2) * ... * channel * p(yh2 | x2, y2) * ...,
+    multiplied left to right.  Raises InvalidSpecError when validation fails
+    and TableTooLargeError when the table would exceed MAX_TABLE_CELLS (2^24)
+    entries.
 
     The joint's `relay_joint()` is the table of `build_relay_joint`:
     2^(2n+1) cells at n binary relays, against 2^(3n+2), contracted from the

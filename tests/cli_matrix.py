@@ -3,13 +3,16 @@
     python tests/cli_matrix.py                # one line per output
     python tests/cli_matrix.py --against REV  # the outputs that differ from REV's
 
-Channels are `demo_spec(n, s)` for s in 1, 7 and 301: `floors` in JSON and
-text for n = 1..7; `check`, `check --layering` (one relay per layer, highest
-first) and `solve`, in JSON and text, and `demo` for n = 1..6; `export` for
-n <= 5 and `export --vertices` for n <= 3.  `floors` also runs on seeded
-mixed-alphabet `random_spec` channels.  The rates put every relay but the
-lowest at 1e-5, and the lowest at 0.99 of the largest rate its outer caps
-then allow, so `solve` shifts on most channels.
+Channels are `demo_spec(n, s)` for s in 1, 7 and 301: `floors`, `check`,
+`check --layering` (one relay per layer, highest first) and `solve`, each in
+JSON and text, for n = 1..7; `demo` for n = 1..6; `export` for n <= 5 and
+`export --vertices` for n <= 3.  The same `floors`, `check`, `check
+--layering` and `solve` run on seeded mixed-alphabet `random_spec` channels
+with 1..4 relays, whose relay tables may be contracted in another order than
+einsum's greedy search would pick.  `layerings --count` runs for 1..6 relays
+in JSON and text.  The rates put every relay but the lowest at 1e-5, and the
+lowest at 0.99 of the largest rate its outer caps then allow, so `solve`
+shifts on most channels.
 
 Each output is one `cli.main` call; a line gives its name, exit code, the
 sha256 of its stdout and its stderr.  With `--against`, the same calls run
@@ -47,34 +50,43 @@ def make_cases(inputs: Path) -> list[tuple[str, list[str]]]:
     from conftest import random_spec
 
     cases = []
+    for n in range(1, 7):
+        cases += [(f"layerings n{n} {fmt}", ["layerings", "--count", str(n), "--format", fmt])
+                  for fmt in ("json", "text")]
     for n in range(1, 8):
         for s in SEEDS:
             spec, tag = cf.demo_spec(n, s), f"n{n}s{s}"
-            channel = ["--channel", str(inputs / f"{tag}.json")]
-            spec.save(inputs / f"{tag}.json")
-            cases += [(f"floors {tag} {fmt}", ["floors", *channel, "--format", fmt])
-                      for fmt in ("json", "text")]
+            cases += _channel_cases(cf, spec, tag, inputs)
             if n == 7:
                 continue
-            rates = ["--rates", str(inputs / f"{tag}_rates.json")]
-            (inputs / f"{tag}_rates.json").write_text(json.dumps(_rates(cf, spec)))
-            layering = "|".join(str(i) for i in reversed(spec.relay_nodes))
-            for fmt in ("json", "text"):
-                tail = [*channel, *rates, "--format", fmt]
-                cases += [(f"check {tag} {fmt}", ["check", *tail]),
-                          (f"check-layering {tag} {fmt}", ["check", *tail, "--layering", layering]),
-                          (f"solve {tag} {fmt}", ["solve", *tail])]
             cases.append((f"demo {tag}", ["demo", "--relays", str(n), "--seed", str(s)]))
+            channel = ["--channel", str(inputs / f"{tag}.json")]
             if n <= 5:
                 cases.append((f"export {tag}", ["export", *channel]))
             if n <= 3:
                 cases.append((f"export-vertices {tag}", ["export", *channel, "--vertices"]))
     for n in range(1, 5):
         for s in SEEDS:
-            tag = f"random-n{n}s{s}"
-            random_spec(np.random.default_rng(s), n).save(inputs / f"{tag}.json")
-            cases += [(f"floors {tag} {fmt}", ["floors", "--channel", str(inputs / f"{tag}.json"),
-                                               "--format", fmt]) for fmt in ("json", "text")]
+            spec = random_spec(np.random.default_rng(s), n)
+            cases += _channel_cases(cf, spec, f"random-n{n}s{s}", inputs)
+    return cases
+
+
+def _channel_cases(cf, spec, tag: str, inputs: Path) -> list[tuple[str, list[str]]]:
+    """`floors`, `check`, `check --layering` and `solve` on `spec`, each in JSON
+    and text, after writing its channel and rate files to `inputs`."""
+    spec.save(inputs / f"{tag}.json")
+    (inputs / f"{tag}_rates.json").write_text(json.dumps(_rates(cf, spec)))
+    channel = ["--channel", str(inputs / f"{tag}.json")]
+    rates = ["--rates", str(inputs / f"{tag}_rates.json")]
+    layering = "|".join(str(i) for i in reversed(spec.relay_nodes))
+    cases = []
+    for fmt in ("json", "text"):
+        tail = [*channel, *rates, "--format", fmt]
+        cases += [(f"floors {tag} {fmt}", ["floors", *channel, "--format", fmt]),
+                  (f"check {tag} {fmt}", ["check", *tail]),
+                  (f"check-layering {tag} {fmt}", ["check", *tail, "--layering", layering]),
+                  (f"solve {tag} {fmt}", ["solve", *tail])]
     return cases
 
 

@@ -629,6 +629,21 @@ class TestStructuredFloors:
         assert zeros
 
 
+class TestStructuredExport:
+    """`export` on channels of binary symmetric pieces, whose joints `build_joint`
+    multiplies from factors with exact zeros and tied entries."""
+
+    @pytest.mark.parametrize("family, n", [(f, n) for f, n in STRUCTURED if n <= 4])
+    def test_export_is_deterministic(self, tmp_path, capsys, family, n):
+        symmetric_family(family, n).save(tmp_path / "chan.json")
+        for extra in ([], ["--vertices"]) if n <= 3 else ([],):
+            texts = []
+            for _ in range(2):
+                assert main(["export", "--channel", str(tmp_path / "chan.json"), *extra]) == 0
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1]
+
+
 class TestUsage:
     def test_key_error_is_a_bug(self, monkeypatch):
         def broken(relays, seed):

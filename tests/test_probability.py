@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import cflayers as cf
 
 from _oracle import brute_force_joint, cond_entropy, entropy, mutual_info, variable_labels
-from conftest import random_spec, random_subset, thin_spec
+from conftest import (SYMMETRIC_FAMILIES, random_spec, random_subset, symmetric_family,
+                      thin_spec)
 
 ZERO = cf.probability.ZERO_MASS
 
@@ -369,6 +370,121 @@ class TestBuildRelayJoint:
                 build(make())
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
+
+
+def einsum_operands(spec):
+    """The spec's factors as `np.einsum` operands, p(x1), each p(xi), the channel
+    and each p(yhi | xi, yi), each followed by its axes: X1 is 0, relay j owns
+    Xi, Yi, Yhi at 3j+1..3j+3, and Yd is last."""
+    n = len(spec.relays)
+    x_ax = [3 * j + 1 for j in range(n)]
+    args = [spec.p_x1, [0]]
+    for r, a in zip(spec.relays, x_ax):
+        args += [r.p_x, [a]]
+    args += [spec.channel, [0] + x_ax + [a + 1 for a in x_ax] + [3 * n + 1]]
+    for r, a in zip(spec.relays, x_ax):
+        args += [r.p_yhat, [a, a + 1, a + 2]]
+    return args
+
+
+def relay_labels(n):
+    """The einsum labels of (Xi, Yhi per relay, Yd) at `n` relays."""
+    return [3 * j + k for j in range(n) for k in (1, 3)] + [3 * n + 1]
+
+
+def assert_same_bits(table, want):
+    np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
+
+
+def x1_free(spec):
+    return cf.probability._build(spec, lambda v: v.label != "X1")  # as `floors`
+
+
+BINARY_SPECS = {
+    **{f"demo-n{n}s{s}": partial(cf.demo_spec, n, s) for n in range(1, 7) for s in (1, 7, 301)},
+    "thin-n3": partial(thin_spec, 3),
+    "thin-n7": partial(thin_spec, 7),  # one-letter Y and Yh: axes of size 1
+    **{f"{name}-n{n}": partial(symmetric_family, name, n)  # exact zeros
+       for name in SYMMETRIC_FAMILIES for n in range(1 + (name == "mixed"), 5)},
+}
+
+
+class TestBuildOrder:
+    """The full table is the product of the factors left to right, as one einsum
+    pass without optimization multiplies them; the relay and X1-free tables
+    are contracted along the network, the path einsum's greedy search finds on
+    binary specs, given to einsum so that no build searches."""
+
+    @pytest.mark.parametrize("make", BINARY_SPECS.values(), ids=BINARY_SPECS.keys())
+    def test_full_table_is_the_one_pass_einsum(self, make):
+        spec = make()
+        table = cf.build_joint(spec).table
+        assert_same_bits(table, np.einsum(*einsum_operands(spec), list(range(table.ndim)),
+                                          optimize=False))
+
+    @pytest.mark.parametrize("make", BINARY_SPECS.values(), ids=BINARY_SPECS.keys())
+    def test_contracted_tables_are_the_greedy_einsums(self, make):
+        spec = make()
+        n = len(spec.relays)
+        for joint, axes in [(cf.build_relay_joint(spec), relay_labels(n)),
+                            (cf.build_joint(spec).relay_joint(), relay_labels(n)),
+                            (x1_free(spec), list(range(1, 3 * n + 2)))]:
+            assert_same_bits(joint.table, np.einsum(*einsum_operands(spec), axes, optimize=True))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 7, 301])
+    def test_mixed_alphabets_agree_with_the_greedy_einsums(self, n, seed):
+        # greedy may fold these in another order: the tables agree to the last bits
+        spec = random_spec(np.random.default_rng(seed), n)
+        full = cf.build_joint(spec)
+        assert_same_bits(full.table, np.einsum(*einsum_operands(spec), list(range(3 * n + 2))))
+        for joint, axes in [(cf.build_relay_joint(spec), relay_labels(n)),
+                            (x1_free(spec), list(range(1, 3 * n + 2)))]:
+            want = np.einsum(*einsum_operands(spec), axes, optimize=True)
+            assert joint.table.shape == want.shape
+            assert np.all(np.abs(joint.table - want) <= 1e-15 * want)
+
+    def test_no_negative_zero(self):
+        # the spec checks allow entries down to -NORMALIZATION_TOL; such an entry
+        # times an exact zero is -0.0, which einsum's sum from zero turns to 0.0
+        spec = cf.demo_spec(2, 7)
+        channel = spec.channel.copy()
+        channel[1, 0, 0, 0, 0, 1] += channel[1, 0, 0, 0, 0, 0]
+        channel[1, 0, 0, 0, 0, 0] = 0.0
+        spec = cf.ChannelSpec(spec.d, 2, np.array([1.0 + 1e-13, -1e-13]), spec.relays, 2, channel)
+        assert cf.validate_spec(spec) == []
+        table = cf.build_joint(spec).table
+        assert np.count_nonzero(table == 0.0) == 4 and not np.signbit(table[table == 0.0]).any()
+        assert_same_bits(table, np.einsum(*einsum_operands(spec), list(range(8))))
+
+    def test_every_einsum_gets_a_path(self, monkeypatch):
+        paths = []
+        einsum = np.einsum
+
+        def recording(*args, **kwargs):
+            paths.append(kwargs.get("optimize"))
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recording)
+        for spec in (cf.demo_spec(3, 7), random_spec(np.random.default_rng(7), 3)):
+            for build, calls in ((cf.build_joint, 1), (cf.build_relay_joint, 1), (x1_free, 2)):
+                paths.clear()
+                build(spec)
+                # the relay table, and the X1-free table too; the full table is no einsum
+                assert len(paths) == calls
+                assert all(isinstance(p, list) and p[0] == "einsum_path" for p in paths)
+
+    def test_no_second_table(self):
+        spec = cf.demo_spec(6, 7)
+        tracemalloc.start()
+        try:
+            joint = cf.build_joint(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table, then the check's one-byte-per-cell mask; the factors are
+        # multiplied a slab at a time, so no temporary reaches half the table
+        assert peak < joint.table.nbytes * 5 // 4
 
 
 def kept_sets(joint, rng, count):

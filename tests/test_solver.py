@@ -6,7 +6,8 @@ import pytest
 import cflayers as cf
 from cflayers.layering import make_layering, parse_layering
 
-from conftest import greedy_vertices, random_spec, sample_outer_point, usable_demo_channels
+from conftest import (SYMMETRIC_FAMILIES, greedy_vertices, random_spec, sample_outer_point,
+                      symmetric_family, usable_demo_channels)
 
 # Interior point of the seed-3 three-relay demo channel that needs two shifts
 # from the single-layer start (found by search, outer slack ~1.1e-3).
@@ -321,3 +322,37 @@ class TestHardestTargets:
                     assert layering in cf.brute_force_layering(joint, rates)
                 longest = max(longest, trace.shifts)
         print(f"{n} relays: at most {longest} shifts to a target next to an outer vertex")
+
+
+STRUCTURED = [(family, n) for family in SYMMETRIC_FAMILIES for n in range(1, 5)
+              if family != "mixed" or n >= 2]
+
+
+class TestStructuredTargets:
+    """The hardest targets on channels of binary symmetric pieces, whose factors
+    hold exact zeros and tied entries, on the joint `build_joint` multiplies."""
+
+    @pytest.mark.parametrize("family, n", STRUCTURED)
+    def test_every_outer_vertex_is_reached(self, family, n):
+        joint = cf.build_joint(symmetric_family(family, n))
+        nodes = sorted(joint.relays)
+        halfspaces = cf.outer_h_rep(joint)
+        vertices = np.array(cf.enumerate_vertices(halfspaces, nodes) if n <= 3
+                            else greedy_vertices(halfspaces, nodes))
+        if min(hs.rhs for hs in halfspaces) <= 0.0:
+            # "useless": no Y_i tells anything of X1, every cap is 0 and the region
+            # is the origin, which the strict margin leaves out
+            assert family == "useless" and not vertices.any()
+            assert not cf.check_outer(joint, cf.RateVector(dict.fromkeys(nodes, 0.0))).is_member
+            return
+        assert len(vertices) > n  # an interior
+        center = vertices.mean(axis=0)
+        for target in (0.99 * v + 0.01 * center for v in vertices):
+            rates = cf.RateVector(dict(zip(nodes, map(float, target))))
+            assert cf.check_outer(joint, rates).is_member
+            layering, trace = cf.solve(joint, rates)
+            assert trace.status == "achieved"
+            for step in trace.steps:
+                assert cf.verify_core(joint, step.layering, step.core, rates).certified
+            if n <= 3:
+                assert layering in cf.brute_force_layering(joint, rates)
