@@ -99,11 +99,18 @@ class ChannelSpec:
         return tuple(r.node for r in self.relays)
 
     def to_json_obj(self) -> dict:
+        """The spec's JSON document, each table as the nested lists of its array."""
+        return self._document(lambda table: table.tolist())
+
+    def _document(self, table=np.asarray) -> dict:
+        """The spec's JSON document with each table as `table(array)`: by
+        default the array itself, which `write_json` writes as its lists
+        without building them."""
         return {
             "d": self.d,
             "source": {
                 "alphabet": self.source_alphabet,
-                "p_x1": self.p_x1.tolist(),
+                "p_x1": table(self.p_x1),
             },
             "relays": [
                 {
@@ -111,23 +118,27 @@ class ChannelSpec:
                     "x_alphabet": r.x_alphabet,
                     "y_alphabet": r.y_alphabet,
                     "yhat_alphabet": r.yhat_alphabet,
-                    "p_x": r.p_x.tolist(),
-                    "p_yhat_given_x_y": r.p_yhat.tolist(),
+                    "p_x": table(r.p_x),
+                    "p_yhat_given_x_y": table(r.p_yhat),
                 }
                 for r in self.relays
             ],
             "destination": {"y_alphabet": self.dest_alphabet},
-            "channel": self.channel.tolist(),
+            "channel": table(self.channel),
         }
 
     def dumps(self) -> str:
+        """The text `save` writes: `json.dumps(self.to_json_obj(), indent=2,
+        sort_keys=True)` and one final newline.  `write_json` is handed the
+        spec's arrays, not `to_json_obj`'s lists, so the lists are never built."""
         buf = io.StringIO()
-        write_json(self.to_json_obj(), buf)
+        write_json(self._document(), buf)
         return buf.getvalue()
 
     def save(self, path) -> None:
+        """Write the text of `dumps` to `path`, in pieces, from the spec's arrays."""
         with open(path, "w") as fh:
-            write_json(self.to_json_obj(), fh)
+            write_json(self._document(), fh)
 
 
 def write_json(obj, fh) -> None:
@@ -137,8 +148,11 @@ def write_json(obj, fh) -> None:
 
     Dicts with str keys, lists, tuples, str, int, float (NaN and the
     infinities as `json` spells them), bool and None are encoded, subclasses
-    too.  An iterator, at any depth, is written as a list, each item encoded
-    and handed to `fh` as the iterator yields it, so the list is never held.
+    too.  A numpy array, which `json` does not encode, is written as its
+    `tolist()`; a float64 array with at least one axis and one cell is
+    formatted straight from its cells, so its nested lists are never built.
+    An iterator, at any depth, is written as a list, each item encoded and
+    handed to `fh` as the iterator yields it, so the list is never held.
     The text goes to `fh` in pieces as it is encoded, so it is never held
     whole either.  Any other value, such as a set, and any dict key that is
     not a str raise TypeError; what was written before the error is a prefix
@@ -150,6 +164,7 @@ def write_json(obj, fh) -> None:
 
 
 _FLUSH_PARTS = 1 << 10  # pieces of text `_emit` holds before it writes them
+_ARRAY_CHUNK = 1 << 9  # cells of an array formatted into one piece (about 55 kB at 6 relays)
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -206,6 +221,11 @@ def _emit(obj, out: list, fh, newline: str) -> None:
                 out.clear()
             head = sep
         out.append(newline + "]" if head is sep else "[]")
+    elif isinstance(obj, np.ndarray):
+        if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim and obj.size:
+            _emit_table(obj, out, fh, newline)
+        else:
+            _emit(obj.tolist(), out, fh, newline)
     else:
         base = next((kind for kind in _SCALARS if isinstance(obj, kind)), None)
         if base is None:
@@ -215,6 +235,44 @@ def _emit(obj, out: list, fh, newline: str) -> None:
     if len(out) > _FLUSH_PARTS:
         fh.write("".join(out))
         out.clear()
+
+
+def _emit_table(table: np.ndarray, out: list, fh, newline: str) -> None:
+    """Append the text of `table.tolist()`, for a float64 `table` with an axis
+    and a cell, to `out` as `_emit` would, but from the flat cells: each
+    cell's text, and before it the brackets of every list that closes and
+    opens there.  A cell whose flat index is a multiple of the product of the
+    last m axis sizes, for m up to ndim - 1, closes m lists and reopens them.
+    The cells are formatted _ARRAY_CHUNK at a time, and `out` is written to
+    `fh` before each chunk after the first, so no piece holds more than one."""
+    depth = table.ndim
+    lines = [newline + "  " * j for j in range(depth + 1)]  # the line break at each depth
+    # the text before a cell that closes r lists: r brackets, a comma, r brackets
+    seps = np.array([
+        "".join(line + "]" for line in lines[depth - 1:depth - r - 1:-1]) + ","
+        + "".join(line + "[" for line in lines[depth - r:depth]) + lines[depth]
+        for r in range(depth)], dtype=object)
+    periods = np.cumprod(table.shape[:0:-1]).tolist()
+    flat = table.ravel()
+    for start in range(0, flat.size, _ARRAY_CHUNK):
+        if start:
+            fh.write("".join(out))
+            out.clear()
+        cells = flat[start:start + _ARRAY_CHUNK].tolist()
+        closes = np.zeros(len(cells), dtype=np.intp)
+        for period in periods:
+            closes[-start % period::period] += 1
+        parts = [""] * (2 * len(cells))
+        parts[::2] = seps[closes].tolist()
+        if not start:
+            parts[0] = "".join("[" + line for line in lines[1:])
+        parts[1::2] = map(float.__repr__, cells)
+        text = "".join(parts)
+        if "n" in text:  # only a non-finite float spells an "n"
+            parts[1::2] = map(_float_text, cells)
+            text = "".join(parts)
+        out.append(text)
+    out.append("".join(line + "]" for line in reversed(lines[:-1])))
 
 
 def _as_table(raw, name: str) -> np.ndarray:
@@ -501,7 +559,8 @@ class JointPmf:
         """Raise InvalidSpecError unless the table fits the variables and is a pmf."""
         if self._table.shape != tuple(v.size for v in self._variables):
             raise InvalidSpecError("joint table shape does not match its variables")
-        if np.any(self._table < -NORMALIZATION_TOL):
+        # the least entry, NaN skipped, by a reduction: no table-size temporary
+        if np.fmin.reduce(self._table, axis=None, initial=np.inf) < -NORMALIZATION_TOL:
             raise InvalidSpecError("joint table has negative entries")
         mass = float(self._table.sum())
         # each factor of the builders' product may be off by the tolerance: p(x1),

@@ -5,7 +5,7 @@
 
 Channels are `demo_spec(n, s)` for s in 1, 7 and 301: `floors`, `check`,
 `check --layering` (one relay per layer, highest first) and `solve`, each in
-JSON and text, for n = 1..7; `demo` for n = 1..6; `export` for n <= 5 and
+JSON and text, and `demo`, for n = 1..7; `export` for n <= 5 and
 `export --vertices` for n <= 3.  The same `floors`, `check`, `check
 --layering` and `solve` run on seeded mixed-alphabet `random_spec` channels
 with 1..4 relays, whose relay tables may be contracted in another order than
@@ -57,8 +57,6 @@ def make_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         for s in SEEDS:
             spec, tag = cf.demo_spec(n, s), f"n{n}s{s}"
             cases += _channel_cases(cf, spec, tag, inputs)
-            if n == 7:
-                continue
             cases.append((f"demo {tag}", ["demo", "--relays", str(n), "--seed", str(s)]))
             channel = ["--channel", str(inputs / f"{tag}.json")]
             if n <= 5:

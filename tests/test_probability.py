@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cflayers as cf
 
@@ -120,12 +121,24 @@ def cut_short(obj, depth):
     rows[-1] = rows[-1][:1]
 
 
+# Cells where a float's repr changes form: signed zeros, non-finite values,
+# subnormals, and either side of the switches to exponents (1e16, 1e-4).
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e16,
+               9999999999999998.0, 1e-5, 0.0001, -1e-5]
+# float64 arrays, which `write_json` formats from their cells, and the arrays it
+# writes through `tolist()`: other dtypes, a non-native byte order, 0-d and empty
+JSON_ARRAYS = (
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=6, max_side=4),
+               elements=st.floats() | st.sampled_from(EDGE_FLOATS))
+    | hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_, np.float32, np.dtype(">f8")]),
+                 hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+)
 # Values `write_json` encodes: every JSON scalar, str-keyed dicts, lists and tuples,
-# and lists of floats alone, which it joins in one piece.
+# lists of floats alone, which it joins in one piece, and numpy arrays.
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**100, 2**100) | st.floats()
                 | st.text(st.characters(codec=None), max_size=8))
 JSON_VALUES = st.recursive(
-    JSON_SCALARS | st.lists(st.floats(), max_size=4),
+    JSON_SCALARS | st.lists(st.floats(), max_size=4) | JSON_ARRAYS,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=24,
@@ -141,6 +154,15 @@ def lazy_lists(value, pick):
         items = [lazy_lists(v, pick) for v in value]
         return iter(items) if pick() else type(value)(items)
     return value
+
+
+def as_lists(value):
+    """`value` with each numpy array, at any depth, its `tolist()`: what `json` encodes."""
+    if isinstance(value, dict):
+        return {k: as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(as_lists(v) for v in value)
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def stdlib_text(value):
@@ -262,6 +284,24 @@ class TestValidateSpec:
         table.flat[0] = np.nan
         with pytest.raises(cf.InvalidSpecError, match="mass"):
             cf.JointPmf(demo2.variables, table)
+
+    @pytest.mark.parametrize("cells, message", [
+        ({0: np.nan, 5: np.nan}, "mass is nan"),
+        ({0: np.nan, 5: -0.25}, "has negative entries"),
+        ({0: -0.25, 5: np.nan}, "has negative entries"),
+    ], ids=["nan", "nan-then-negative", "negative-then-nan"])
+    def test_joint_with_nan_gets_one_verdict(self, demo2, cells, message):
+        # NaN is skipped when the least entry is sought, and then spoils the mass
+        table = demo2.table.copy()
+        for cell, value in cells.items():
+            table.flat[cell] = value
+        with pytest.raises(cf.InvalidSpecError, match=f"^joint table {message}"):
+            cf.JointPmf(demo2.variables, table)
+
+    def test_empty_joint_has_no_mass(self):
+        variables = (cf.Variable("x", 2, 0), cf.Variable("y", 3, 2))
+        with pytest.raises(cf.InvalidSpecError, match=r"^joint table mass is 0\.0, not 1$"):
+            cf.JointPmf(variables, np.zeros((0, 2)))
 
     def test_validated_spec_builds(self):
         spec = cf.spec_from_json_obj(nudged_spec_obj())
@@ -1228,8 +1268,10 @@ class TestJson:
     @given(JSON_VALUES, st.randoms(use_true_random=False))
     @example({"b": [0.5, -0.0, float("nan")], "a": (float("inf"), -float("inf"))}, None)
     @example(["\x00\x1f\x7f\u2028\\\"é\ud800😀", 2**64, -(2**70), True, None], None)
+    @example({"t": [np.array(EDGE_FLOATS).reshape(2, 1, 3, 2), 1],
+              "u": {"v": [np.ones((1, 1, 1)), np.array(-0.0), np.zeros((2, 0))]}}, None)
     def test_bytes_of_json_dumps(self, value, rng):
-        want = stdlib_text(value)
+        want = stdlib_text(as_lists(value))
         assert written(value) == want
         assert written(lazy_lists(value, lambda: True)) == want
         if rng is not None:
@@ -1247,7 +1289,7 @@ class TestJson:
                 with pytest.raises(TypeError):
                     cf.probability.write_json(given_doc, ours)
                 try:
-                    json.dump(doc, theirs, indent=2, sort_keys=True)
+                    json.dump(as_lists(doc), theirs, indent=2, sort_keys=True)
                 except TypeError:
                     pass
                 assert theirs.getvalue().startswith(ours.getvalue())
@@ -1267,14 +1309,36 @@ class TestJson:
         for k in (1, 2):
             assert f'"item{k - 1}"' in seen[k] and seen[k].endswith("}")
 
-    def test_spec_written_in_bounded_pieces(self):
-        obj = cf.demo_spec(6, 7).to_json_obj()  # 1.8 MB of text
-        pieces = []
-        fh = io.StringIO()
-        fh.write = pieces.append
+    def test_spec_written_in_bounded_pieces(self, monkeypatch):
+        spec = cf.demo_spec(6, 7)
+        obj = spec.to_json_obj()
+        text = stdlib_text(obj)  # 1.8 MB
+        pieces, saved = [], []  # from the lists and, by `save`, from the arrays
+        fh, file = io.StringIO(), io.StringIO()
+        fh.write, file.write = pieces.append, saved.append
         cf.probability.write_json(obj, fh)
-        text = stdlib_text(obj)
-        assert "".join(pieces) == text and max(map(len, pieces)) < len(text) // 16
+        monkeypatch.setattr(cf.probability, "open", lambda path, mode: file, raising=False)
+        spec.save("chan.json")
+        for parts in (pieces, saved):
+            assert "".join(parts) == text and max(map(len, parts)) < len(text) // 16
+
+    def test_spec_saved_without_its_lists(self, tmp_path):
+        spec = cf.demo_spec(6, 7)
+        tracemalloc.start()
+        try:
+            spec.save(tmp_path / "chan.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_700_000  # 1.8 MB when written from the lists of `to_json_obj`
+
+    @pytest.mark.parametrize("make", [
+        *BINARY_SPECS.values(), partial(cf.demo_spec, 7, 7),
+        *(partial(lambda n: random_spec(np.random.default_rng(7), n), n) for n in range(1, 5)),
+    ], ids=[*BINARY_SPECS, "demo-n7s7", *(f"random-n{n}" for n in range(1, 5))])
+    def test_spec_text_of_json_dumps(self, make):
+        spec = make()  # symmetric families hold broadcast kernels: arrays of zero strides
+        assert spec.dumps() == stdlib_text(spec.to_json_obj())
 
     def test_ragged_table_rejected(self):
         obj = cf.demo_spec(1, 11).to_json_obj()
