@@ -12,7 +12,6 @@ from .errors import (
     CFLayersError,
     DimensionTooHighError,
     EmptySubsetError,
-    IncompleteRestrictionError,
     IndexOutOfRangeError,
     InvalidRatesError,
     InvalidSpecError,

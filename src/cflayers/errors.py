@@ -17,10 +17,6 @@ class UnknownVariableError(CFLayersError, KeyError):
     """A query referenced a variable that is not part of the joint."""
 
 
-class IncompleteRestrictionError(CFLayersError, ValueError):
-    """`JointPmf.restrict` was asked to drop a relay input or Yd, which fix the network."""
-
-
 class TooManyRelaysError(CFLayersError, ValueError):
     """Layering enumeration was requested above layering.MAX_ENUM_RELAYS relays."""
 

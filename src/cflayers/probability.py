@@ -19,6 +19,9 @@ All entropies are in bits.  Queries are pure and cached, and no joint changes
 once built, so joints can be shared freely across threads.  A joint built over
 more than the relay axes keeps the 2^(2n+1)-cell relay table (n binary relays)
 of `build_relay_joint` and sums every relay query from it, any other from itself.
+No other joint is made over part of a joint's variables: the window and
+floor tables of `cflayers floors` are summed by `JointPmf._walk`, which makes
+no joint for them.
 """
 
 from __future__ import annotations
@@ -33,12 +36,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .errors import (
-    IncompleteRestrictionError,
-    InvalidSpecError,
-    TableTooLargeError,
-    UnknownVariableError,
-)
+from .errors import InvalidSpecError, TableTooLargeError, UnknownVariableError
 
 NORMALIZATION_TOL = 1e-12
 MAX_TABLE_CELLS = 1 << 24
@@ -202,12 +200,6 @@ def _emit(obj, out: list, fh, newline: str) -> None:
         out.append(newline + "}" if head is sep else "{}")
     elif isinstance(obj, (list, tuple, Iterator)):
         streamed = not isinstance(obj, (list, tuple))
-        if not streamed and obj and all(type(x) is float for x in obj):
-            text = sep.join(map(float.__repr__, obj))
-            if "n" in text:  # only a non-finite float spells an "n"
-                text = sep.join(map(_float_text, obj))
-            out.append("[" + inner + text + newline + "]")
-            return
         head = "[" + inner
         for item in obj:
             scalar = _SCALARS.get(type(item))
@@ -446,7 +438,8 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
 def _sum_table(table: np.ndarray, bits: tuple, mask: int) -> np.ndarray:
     """`table`, whose axes carry the memo-key bits `bits`, summed over every
     axis whose bit is outside `mask`; `table` itself when `mask` keeps every
-    axis.  Every marginal, entropy and restriction is summed here.
+    axis.  Every marginal, entropy and walked table is summed here, and so
+    is the relay table of a joint the constructor made.
 
     A view of the table orders its axes as two blocks, the kept axes and
     the dropped ones, so that the sum runs along one contiguous axis: the
@@ -496,6 +489,27 @@ def _sum_table(table: np.ndarray, bits: tuple, mask: int) -> np.ndarray:
     return out.reshape(shape)
 
 
+_KINDS = ("x", "y", "yhat")  # the order of a node's variables
+
+
+def _check_order(variables: tuple[Variable, ...]) -> None:
+    """Raise InvalidSpecError unless every variable has a kind of _KINDS and
+    their (node, kind) keys strictly increase, kinds ranked as in _KINDS: the
+    canonical order, in which no variable repeats and Yd comes last."""
+    keys = []
+    for v in variables:
+        if v.kind not in _KINDS:
+            raise InvalidSpecError(f"variable kind {v.kind!r} is none of x, y and yhat")
+        keys.append((v.node, _KINDS.index(v.kind)))
+    for i in range(1, len(keys)):
+        if keys[i] <= keys[i - 1]:
+            where = "twice" if keys[i] == keys[i - 1] else f"after {variables[i - 1].label}"
+            raise InvalidSpecError(
+                f"joint variable {variables[i].label} is listed {where}; the order is by"
+                " node, then x, y, yhat"
+            )
+
+
 def _mutual_info(h, a: int, b: int, c: int) -> float:
     """I(a ; b | c) in bits, for memo masks `a`, `b` and `c`, from `h`, the
     entropy of a mask: (H(a c) - H(c)) - (H(a b c) - H(b c)), with tiny
@@ -511,39 +525,30 @@ class JointPmf:
     """Dense joint pmf over (X1, {Xi, Yi, Yhi} per relay, Yd), or over a part
     of it that keeps every Xi and Yd, such as (Xi, Yhi per relay, Yd).  Immutable.
 
-    Axes follow that canonical order with the last index fastest; one
-    (kind, node) -> axis map is the only layout lookup.  Entropy queries
-    marginalize a table and are memoized by a mask with one bit per variable
-    of the root joint (the one built, not restricted).  Concurrent reads are
-    safe: a value may be computed twice, but the first one stored is returned.
+    The variables come in canonical order: by node, and within a node X, Y,
+    then Yh, so Yd is last; the constructor raises InvalidSpecError on any
+    other order, a repeat or an unknown kind.  Axes follow that order with
+    the last index fastest; one (kind, node) -> axis map is the only layout
+    lookup.  Entropy queries marginalize a table and are memoized by a mask
+    with one bit per variable.  Concurrent reads are safe: a value may be
+    computed twice, but the first one stored is returned.
 
-    `restrict(variables)` sums a table once down to `variables` and returns
-    their joint, in canonical order.  A root and its restrictions are one
-    distribution: they share the memo, so an entropy computed on any member
-    answers all of them.  The relays and Yd are read off the kept axes, so
-    every relay input and Yd must be kept.
-
-    `relay_joint()` is the restriction to (Xi, Yhi per relay, Yd).  A joint
-    `_build` makes over more axes keeps the table of `build_relay_joint`, as
-    does each restriction of it that keeps those axes, and sums a new entropy
-    or restriction from it when it holds the variables, so each relay query
-    sums the 2^(2n+1)-cell table, not the full one.  Tables are checked where
-    they enter, by the constructor or `_build`, not on restriction.
+    `relay_joint()` is the joint of (Xi, Yhi per relay, Yd).  A joint `_build`
+    makes over more axes keeps the table of `build_relay_joint` as a part of
+    itself (`_part`): in its memo-key space and sharing its memo, so an
+    entropy computed on either answers both.  A new entropy is summed from
+    the relay table when it holds the variables, so each relay query sums the
+    2^(2n+1)-cell table, not the full one.  No other part is made: the tables
+    that `cflayers floors` walks are summed by `_walk`.  Tables are checked
+    where they enter, by the constructor or `_build`.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
+        variables = tuple(variables)
+        _check_order(variables)
         # a copy: the caller's array is neither frozen nor aliased
-        self._init(tuple(variables), np.array(table, dtype=float))
+        self._init(variables, np.array(table, dtype=float))
         self._check()
-
-    @classmethod
-    def _own(cls, variables: tuple[Variable, ...], table: np.ndarray) -> JointPmf:
-        """The joint of `table`, a float array that nothing else writes, such as
-        one the module just built or summed; frozen in place rather than
-        copied, and not checked."""
-        joint = cls.__new__(cls)
-        joint._init(variables, np.ascontiguousarray(table))
-        return joint
 
     def _init(self, variables: tuple[Variable, ...], table: np.ndarray) -> None:
         table.setflags(write=False)
@@ -552,7 +557,7 @@ class JointPmf:
         self._relays = tuple(v.node for v in variables if v.kind == "x" and v.node != 1)
         self._axis = {(v.kind, v.node): i for i, v in enumerate(variables)}
         self._bits = tuple(1 << i for i in range(len(variables)))  # memo-key bit per axis
-        self._memo: dict[int, float] = {}  # shared by a root and its restrictions
+        self._memo: dict[int, float] = {}  # shared by a joint and its parts
         self._relay_joint: JointPmf | None = None
 
     def _check(self) -> None:
@@ -677,44 +682,28 @@ class JointPmf:
         return _sum_table(table, bits, mask)
 
     def relay_joint(self) -> JointPmf:
-        """The restriction to (Xi, Yhi per relay, Yd), all that rate caps and
-        shifts read: the relay table this joint keeps, or else a new
-        restriction, summed from this joint on each call."""
-        if self._relay_joint is not None:
-            return self._relay_joint
-        relays = self._relays
-        return self.restrict(self.xs(relays) | self.yhats(relays) | {self.yd})
-
-    def restrict(self, variables) -> JointPmf:
-        """The joint of `variables` alone, sharing this joint's memo and, if it
-        keeps its axes, its relay table; raises IncompleteRestrictionError
-        unless `variables` include every relay input and Yd."""
-        return self._restrict(self._mask(variables))
-
-    def _restrict(self, mask: int, table: np.ndarray | None = None) -> JointPmf:
-        """`restrict` to the variables in `mask`, whose table is `table` when
-        given: this joint's distribution over them, already computed.  The relay
-        inputs and Yd are checked by their mask bits; labels are looked up
-        only for the error, which an absent Yd turns into UnknownVariableError."""
-        axis, bits = self._axis, self._bits
-        needed = [("x", i) for i in self._relays] + [("y", self.d)]
-        missing = [key for key in needed if key not in axis or not mask & bits[axis[key]]]
-        if missing:
-            dropped = ", ".join(self._var(*key).label for key in missing)
-            raise IncompleteRestrictionError(
-                f"a restriction must keep every relay input and Yd; it drops {dropped}"
-            )
-        axes = [i for i, bit in enumerate(bits) if mask & bit]
-        kept = tuple(self._variables[i] for i in axes)
-        if table is None:
-            table = self._sum(mask)
-        child = JointPmf._own(kept, table)
-        # the same distribution, so one memo in one key space answers both
-        child._bits, child._memo = tuple(self._bits[i] for i in axes), self._memo
+        """The joint of (Xi, Yhi per relay, Yd), all that rate caps and shifts
+        read: the relay table this joint keeps, or else a new part, summed
+        from this joint on each call."""
         relay = self._relay_joint
-        if relay is not None and not sum(relay._bits) & ~mask:  # the child keeps its axes
-            child._relay_joint = relay
-        return child
+        if relay is None:
+            relays = self._relays
+            relay = self._part(self._key("x", relays) | self._key("yhat", relays)
+                               | self._key("y", [self.d]))
+        return relay
+
+    def _part(self, mask: int, table: np.ndarray | None = None) -> JointPmf:
+        """The joint of the variables in `mask`: `table` when given, this
+        joint's distribution over them already computed, else summed from
+        this joint.  It is the same distribution, so it keeps this joint's
+        memo-key bits and shares its memo; it keeps no relay table, and its
+        table, frozen in place, is not checked again."""
+        axes = [i for i, bit in enumerate(self._bits) if mask & bit]
+        part = JointPmf.__new__(JointPmf)
+        part._init(tuple(self._variables[i] for i in axes),
+                   np.ascontiguousarray(self._sum(mask) if table is None else table))
+        part._bits, part._memo = tuple(self._bits[i] for i in axes), self._memo
+        return part
 
     def entropy(self, variables) -> float:
         """Joint Shannon entropy H(variables) in bits; H(empty) = 0."""
@@ -764,9 +753,9 @@ class JointPmf:
         then for each table as it is summed, at the depth after its step:
         `mask` is the table's memo key, and `h(m)` gives H(m) for any `m`
         within `mask` as `_entropy` does, from the memo, else the kept relay
-        table when it holds `m`, else this table.  A table is summed like a
-        restriction, from the kept relay table when that holds its axes, else
-        from its parent; no JointPmf is made for it.  One table per depth is
+        table when it holds `m`, else this table.  A table is summed by `_sum`,
+        from the kept relay table when that holds its axes, else from its
+        parent; no JointPmf is made for it.  One table per depth is
         alive, besides the one last yielded.  `at`, `mask` and `depth` give
         the (table, bits) pair, key and depth to go on from.
         """
@@ -887,11 +876,12 @@ def _build(spec: ChannelSpec, keep=None) -> JointPmf:
         table = _product(factors, tuple(v.size for v in variables))
     else:
         table = _contract(factors, axes)
-    joint = JointPmf._own(tuple(variables[i] for i in axes), table)
+    joint = JointPmf.__new__(JointPmf)  # the table is frozen in place, not copied
+    joint._init(tuple(variables[i] for i in axes), np.ascontiguousarray(table))
     joint._check()
     if axes != relay_axes:
         relay = _contract(factors, relay_axes)
-        joint._relay_joint = joint._restrict(joint._mask(variables[i] for i in relay_axes), relay)
+        joint._relay_joint = joint._part(joint._mask(variables[i] for i in relay_axes), relay)
     return joint
 
 
@@ -906,8 +896,8 @@ def build_joint(spec: ChannelSpec) -> JointPmf:
     The joint's `relay_joint()` is the table of `build_relay_joint`:
     2^(2n+1) cells at n binary relays, against 2^(3n+2), contracted from the
     spec's factors, not summed from the full table.  Every rate cap term and
-    shift decision of the joint or of a restriction that keeps the relay axes
-    is summed from it, bit for bit as on `build_relay_joint`.
+    shift decision of the joint is summed from it, bit for bit as on
+    `build_relay_joint`.
     """
     return _build(spec, lambda v: True)
 

@@ -457,7 +457,7 @@ class TestFloors:
         full_size = cf.build_joint(cf.demo_spec(3, 3)).table.size
         summed_sizes.clear()  # the sum of that table to the relay table it keeps
         built = []
-        init = cf.JointPmf._init  # every joint, built, restricted or constructed, passes here
+        init = cf.JointPmf._init  # every joint, built, a part or constructed, passes here
 
         def counted(self, variables, table):
             built.append(table.size)
