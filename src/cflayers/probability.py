@@ -492,10 +492,12 @@ def _sum_table(table: np.ndarray, bits: tuple, mask: int) -> np.ndarray:
 _KINDS = ("x", "y", "yhat")  # the order of a node's variables
 
 
-def _check_order(variables: tuple[Variable, ...]) -> None:
-    """Raise InvalidSpecError unless every variable has a kind of _KINDS and
-    their (node, kind) keys strictly increase, kinds ranked as in _KINDS: the
-    canonical order, in which no variable repeats and Yd comes last."""
+def _check_variables(variables: tuple[Variable, ...]) -> None:
+    """Raise InvalidSpecError unless every variable has a kind of _KINDS,
+    their (node, kind) keys strictly increase, kinds ranked as in _KINDS, and
+    they are a network's: the last is Yd, the Y of node d, and the inputs
+    besides X1 are exactly X2..X_{d-1}, one per relay.  So no variable
+    repeats, and the relays and d read off the inputs are the network's."""
     keys = []
     for v in variables:
         if v.kind not in _KINDS:
@@ -508,6 +510,16 @@ def _check_order(variables: tuple[Variable, ...]) -> None:
                 f"joint variable {variables[i].label} is listed {where}; the order is by"
                 " node, then x, y, yhat"
             )
+    if not variables or variables[-1].kind != "y":
+        last = f"ends with {variables[-1].label}" if variables else "is empty"
+        raise InvalidSpecError(f"joint variable list {last}; it must end with Yd")
+    d, inputs = variables[-1].node, [v for v in variables if v.kind == "x" and v.node != 1]
+    if [v.node for v in inputs] != list(range(2, 2 + len(inputs))) or len(inputs) != d - 2:
+        held = ", ".join(v.label for v in inputs) or "no relay input"
+        raise InvalidSpecError(
+            f"joint variables hold {held} with Y{d} last; they must hold the input of every"
+            f" relay 2..{d - 1} and no other"
+        )
 
 
 def _mutual_info(h, a: int, b: int, c: int) -> float:
@@ -527,25 +539,27 @@ class JointPmf:
 
     The variables come in canonical order: by node, and within a node X, Y,
     then Yh, so Yd is last; the constructor raises InvalidSpecError on any
-    other order, a repeat or an unknown kind.  Axes follow that order with
-    the last index fastest; one (kind, node) -> axis map is the only layout
-    lookup.  Entropy queries marginalize a table and are memoized by a mask
-    with one bit per variable.  Concurrent reads are safe: a value may be
-    computed twice, but the first one stored is returned.
+    other order, a repeat or an unknown kind, and unless the last variable
+    is a Y, Yd, and every relay 2..d-1 keeps its Xi.  Axes follow that order
+    with the last index fastest; one (kind, node) -> axis map is the only
+    layout lookup.  Entropy queries marginalize a table and are memoized by
+    a mask with one bit per variable.  Concurrent reads are safe: a value
+    may be computed twice, but the first one stored is returned.
 
     `relay_joint()` is the joint of (Xi, Yhi per relay, Yd).  A joint `_build`
     makes over more axes keeps the table of `build_relay_joint` as a part of
     itself (`_part`): in its memo-key space and sharing its memo, so an
-    entropy computed on either answers both.  A new entropy is summed from
-    the relay table when it holds the variables, so each relay query sums the
-    2^(2n+1)-cell table, not the full one.  No other part is made: the tables
-    that `cflayers floors` walks are summed by `_walk`.  Tables are checked
-    where they enter, by the constructor or `_build`.
+    entropy computed on either answers both, and so do the outer region's
+    caps that `region.region_caps` keeps beside the memo.  A new entropy is
+    summed from the relay table when it holds the variables, so each relay
+    query sums the 2^(2n+1)-cell table, not the full one.  No other part is
+    made: the tables that `cflayers floors` walks are summed by `_walk`.
+    Tables are checked where they enter, by the constructor or `_build`.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
         variables = tuple(variables)
-        _check_order(variables)
+        _check_variables(variables)
         # a copy: the caller's array is neither frozen nor aliased
         self._init(variables, np.array(table, dtype=float))
         self._check()
@@ -558,6 +572,8 @@ class JointPmf:
         self._axis = {(v.kind, v.node): i for i, v in enumerate(variables)}
         self._bits = tuple(1 << i for i in range(len(variables)))  # memo-key bit per axis
         self._memo: dict[int, float] = {}  # shared by a joint and its parts
+        # `region.region_caps(self, None)` under the key None, once computed; shared likewise
+        self._outer_caps: dict[None, tuple] = {}
         self._relay_joint: JointPmf | None = None
 
     def _check(self) -> None:
@@ -593,7 +609,7 @@ class JointPmf:
 
     @property
     def d(self) -> int:
-        return self._relays[-1] + 1 if self._relays else 3
+        return self._variables[-1].node  # Yd comes last
 
     def _var(self, kind: str, node: int) -> Variable:
         axis = self._axis.get((kind, node))
@@ -696,13 +712,14 @@ class JointPmf:
         """The joint of the variables in `mask`: `table` when given, this
         joint's distribution over them already computed, else summed from
         this joint.  It is the same distribution, so it keeps this joint's
-        memo-key bits and shares its memo; it keeps no relay table, and its
-        table, frozen in place, is not checked again."""
+        memo-key bits and shares its memo and outer caps; it keeps no relay
+        table, and its table, frozen in place, is not checked again."""
         axes = [i for i, bit in enumerate(self._bits) if mask & bit]
         part = JointPmf.__new__(JointPmf)
         part._init(tuple(self._variables[i] for i in axes),
                    np.ascontiguousarray(self._sum(mask) if table is None else table))
         part._bits, part._memo = tuple(self._bits[i] for i in axes), self._memo
+        part._outer_caps = self._outer_caps
         return part
 
     def entropy(self, variables) -> float:

@@ -205,14 +205,22 @@ def boundary_rhs(joint: JointPmf, s) -> float:
 def region_caps(joint: JointPmf, layering: Layering | None) -> tuple:
     """(subset, cap) for every nonempty relay subset, in bitmask order: the outer
     region's caps when `layering` is None, else the staged caps of `layering`,
-    which is checked against the joint first."""
+    which is checked against the joint first.
+
+    The outer caps are computed once per joint and shared with its relay
+    table: later calls on either return the same tuple.  Layered caps are
+    not cached; each call computes them again from the entropy memo."""
     if layering is not None:
         require_valid_layering(joint, layering)
     return _caps(joint, layering)
 
 
 def _caps(joint: JointPmf, layering: Layering | None) -> tuple:
-    return tuple((s, _cap(joint, layering, s)) for s in subsets_by_mask(joint.relay_set))
+    kept = joint._outer_caps  # the outer caps, beside the entropy memo
+    if layering is None and None in kept:
+        return kept[None]
+    caps = tuple((s, _cap(joint, layering, s)) for s in subsets_by_mask(joint.relay_set))
+    return caps if layering is not None else kept.setdefault(None, caps)  # first stored wins
 
 
 # -- membership reports ----------------------------------------------------------
@@ -300,17 +308,24 @@ def check_layered(
 def check_outer(
     joint: JointPmf, rates: RateVector, epsilon: float = DEFAULT_EPSILON
 ) -> ConstraintReport:
-    """Membership report for the layering-free outer region."""
+    """Membership report for the layering-free outer region.  Its caps are
+    `region_caps(joint, None)`: computed on the first call on the joint or
+    its relay table and read from there after, once the rates and epsilon
+    are checked."""
     return _build_report(joint, None, rates, epsilon)
 
 
 def pick_violator(report: ConstraintReport):
     """Largest violating subset from a report: the union of all violators.
 
-    Returns (subset, degenerate).  The union itself violating is asserted;
-    if a numerical edge breaks that, fall back to the first
-    maximum-cardinality violator in report (bitmask) order and flag the pick
-    as degenerate.  Returns (None, False) for a member.
+    Returns (subset, degenerate).  When the union satisfies its own cap, the
+    pick falls back to the first maximum-cardinality violator in report
+    (bitmask) order and is flagged degenerate.  Submodular caps make the
+    minimizers of the slack closed under union, not the violators, so this
+    is no numerical edge: next to outer vertices the union satisfies its cap
+    by up to about 1e-5, and the fallback runs in 22 of 96 solves at 3
+    relays, 251 of 390 at 4 and 322 of 360 at 5 (the targets are in the
+    `solver` module docstring).  Returns (None, False) for a member.
     """
     violating = [e for e in report.entries if not e.satisfied]
     if not violating:

@@ -12,7 +12,11 @@ with 1..4 relays, whose relay tables may be contracted in another order than
 einsum's greedy search would pick.  `layerings --count` runs for 1..6 relays
 in JSON and text.  The rates put every relay but the lowest at 1e-5, and the
 lowest at 0.99 of the largest rate its outer caps then allow, so `solve`
-shifts on most channels.
+shifts on most channels.  On `demo_spec(n, s)` for n = 2..5, `solve` also
+runs, in JSON and text, on two near-vertex targets (1 - delta) * v + delta *
+(mean of the vertices), delta = 1e-2, for the last two outer vertices v that
+`conftest.greedy_vertices` lists: traces of 1 to 7 shifts, with fallback
+picks in 11 of the 24.  That is 369 outputs in all.
 
 Each output is one `cli.main` call; a line gives its name, exit code, the
 sha256 of its stdout and its stderr.  With `--against`, the same calls run
@@ -57,6 +61,8 @@ def make_cases(inputs: Path) -> list[tuple[str, list[str]]]:
         for s in SEEDS:
             spec, tag = cf.demo_spec(n, s), f"n{n}s{s}"
             cases += _channel_cases(cf, spec, tag, inputs)
+            if 2 <= n <= 5:
+                cases += _vertex_cases(cf, spec, tag, inputs)
             cases.append((f"demo {tag}", ["demo", "--relays", str(n), "--seed", str(s)]))
             channel = ["--channel", str(inputs / f"{tag}.json")]
             if n <= 5:
@@ -85,6 +91,28 @@ def _channel_cases(cf, spec, tag: str, inputs: Path) -> list[tuple[str, list[str
                   (f"check {tag} {fmt}", ["check", *tail]),
                   (f"check-layering {tag} {fmt}", ["check", *tail, "--layering", layering]),
                   (f"solve {tag} {fmt}", ["solve", *tail])]
+    return cases
+
+
+def _vertex_cases(cf, spec, tag: str, inputs: Path) -> list[tuple[str, list[str]]]:
+    """`solve` in JSON and text on the near-vertex targets of the last two outer
+    vertices of `spec`, after writing their rate files to `inputs`."""
+    import numpy as np
+
+    from conftest import greedy_vertices
+
+    nodes = spec.relay_nodes
+    vertices = np.array(greedy_vertices(cf.outer_h_rep(cf.build_relay_joint(spec)), nodes))
+    center = vertices.mean(axis=0)
+    cases = []
+    for k, vertex in enumerate(vertices[-2:]):
+        rates = inputs / f"{tag}_vertex{k}_rates.json"
+        target = 0.99 * vertex + 0.01 * center
+        rates.write_text(json.dumps({"rates": {str(i): float(r) for i, r in zip(nodes, target)}}))
+        cases += [(f"solve-vertex{k} {tag} {fmt}",
+                   ["solve", "--channel", str(inputs / f"{tag}.json"), "--rates", str(rates),
+                    "--format", fmt])
+                  for fmt in ("json", "text")]
     return cases
 
 

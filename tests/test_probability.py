@@ -296,6 +296,35 @@ class TestValidateSpec:
         with pytest.raises(cf.InvalidSpecError, match=message):
             cf.JointPmf(variables, np.full(shape, 1.0 / math.prod(shape)))
 
+    # the relays and d are read off the inputs and Yd: each list reads another network
+    @pytest.mark.parametrize("edit, message", [
+        (lambda vs: [vs[1], vs[3], vs[6], vs[7]], "hold X2 with Y4 last"),  # no X3
+        (lambda vs: vs[:1] + vs[4:], "hold X3 with Y4 last"),  # no X2: a relay gap
+        (lambda vs: vs[:4] + [vs[5], cf.Variable("yhat", 4, 2)], "ends with Yh4"),
+        (lambda vs: vs[:6], "hold X2, X3 with Y3 last"),  # X3 is Yd's node's input
+        (lambda vs: vs[:7], "ends with Yh3"),  # no Yd
+        (lambda vs: [], "is empty"),
+    ], ids=["relay-dropped", "relay-gap", "yhat-past-d", "x-of-d", "no-yd", "empty"])
+    def test_joint_variables_of_a_network(self, demo2, edit, message):
+        variables = edit(list(demo2.variables))
+        shape = tuple(v.size for v in variables)
+        with pytest.raises(cf.InvalidSpecError, match=message):
+            cf.JointPmf(variables, np.full(shape, 1.0 / math.prod(shape)))
+
+    def test_marginal_without_a_relay_input_refused(self, demo2):
+        # (X2, Yh2, Yh3, Y4) used to read as one relay with d = 3, and `check_outer`
+        # then asked for Y3
+        variables = [demo2.x(2), demo2.yhat(2), demo2.yhat(3), demo2.yd]
+        with pytest.raises(cf.InvalidSpecError, match=r"relay 2\.\.3 and no other"):
+            cf.JointPmf(variables, demo2.marginal(variables))
+
+    @pytest.mark.parametrize("build", ["build_joint", "build_relay_joint", "x1_free"])
+    def test_built_tables_construct(self, build):
+        built = (x1_free if build == "x1_free" else getattr(cf, build))(cf.demo_spec(3, 7))
+        made = cf.JointPmf(built.variables, built.table)
+        assert (made.relays, made.d) == (built.relays, built.d) == ((2, 3, 4), 5)
+        assert made.relay_joint().variables == built.relay_joint().variables
+
     def test_joint_with_nan_mass_rejected(self, demo2):
         table = demo2.table.copy()
         table.flat[0] = np.nan

@@ -1,5 +1,8 @@
 """Rate caps, membership reports, floors, and the window identities."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -274,6 +277,90 @@ class TestRegionCaps:
         subsets = list(subsets_by_mask(demo2.relay_set))
         assert outer == tuple((s, cf.boundary_rhs(demo2, s)) for s in subsets)
         assert staged == tuple((s, cf.layered_rhs(demo2, lay, s)) for s in subsets)
+
+
+class TestOuterCapsOnce:
+    """The outer caps are computed once per joint and kept beside the entropy memo
+    that it shares with its relay table; layered caps are computed on every call."""
+
+    def test_second_check_makes_no_query_and_no_sum(self, monkeypatch, summed_sizes):
+        joint = cf.build_joint(cf.demo_spec(4, 7))
+        first = cf.check_outer(joint, zero_rates(joint))
+        assert summed_sizes
+        summed_sizes.clear()
+        queries = []
+        entropy = cf.JointPmf._entropy
+        monkeypatch.setattr(cf.JointPmf, "_entropy",
+                            lambda self, *args, **kwargs: queries.append(args)
+                            or entropy(self, *args, **kwargs))
+        second = cf.check_outer(joint, zero_rates(joint))
+        assert second == first
+        assert queries == [] and summed_sizes == []
+        cf.check_layered(joint, parse_layering("2|3,4|5"), zero_rates(joint))
+        assert queries  # not cached: read from the entropy memo again
+
+    @pytest.mark.parametrize("case", ["root-first", "relay-first", "constructed"])
+    def test_root_and_relay_joint_share_one_tuple(self, case):
+        root = cf.build_joint(cf.demo_spec(3, 7))
+        if case == "constructed":  # keeps no relay table: a new one on each call
+            root = cf.JointPmf(root.variables, root.table)
+        joints = [root.relay_joint(), root] if case == "relay-first" else [root, root.relay_joint()]
+        caps = cf.region.region_caps(joints[0], None)
+        assert cf.region.region_caps(joints[1], None) is caps
+        assert cf.region.region_caps(root.relay_joint(), None) is caps
+        assert cf.outer_h_rep(joints[1]) == tuple(cf.HalfSpace(s, rhs) for s, rhs in caps)
+
+    @pytest.mark.parametrize("n, seed", [(2, 7), (4, 1), (5, 301)])
+    def test_every_reader_agrees_bit_for_bit(self, n, seed, tmp_path, monkeypatch, capsys):
+        spec = cf.demo_spec(n, seed)
+        subsets = list(subsets_by_mask(spec.relay_nodes))
+        alone = cf.build_relay_joint(spec)  # each subset's own cap: the memo holds no tuple
+        want = [cf.boundary_rhs(alone, s) for s in subsets]
+        assert not alone._outer_caps
+
+        def readers(joint):
+            return {
+                "check_outer": [e.rhs for e in cf.check_outer(joint, zero_rates(joint)).entries],
+                "outer_h_rep": [hs.rhs for hs in cf.outer_h_rep(joint)],
+                "boundary_rhs": [cf.boundary_rhs(joint, s) for s in subsets],
+            }
+
+        assert readers(alone) == dict.fromkeys(["check_outer", "outer_h_rep", "boundary_rhs"],
+                                               want)
+        for name in ("check_outer", "outer_h_rep"):  # each one first on a fresh joint
+            for joint in (cf.build_joint(spec), cf.build_relay_joint(spec)):
+                assert readers(joint)[name] == want and joint._outer_caps
+                assert readers(joint) == readers(alone)
+        roots = []
+        build = cf.cli._build
+        monkeypatch.setattr(cf.cli, "_build",
+                            lambda *args: roots.append(build(*args)) or roots[-1])
+        spec.save(tmp_path / "chan.json")
+        assert cf.cli.main(["floors", "--channel", str(tmp_path / "chan.json"),
+                            "--format", "json"]) == 0
+        printed = [e["boundary_rhs"] for e in json.loads(capsys.readouterr().out)["subsets"]]
+        assert printed == [cf.region.fmt12(cap) for cap in want]
+        (root,) = roots
+        assert [cap for _, cap in cf.region.region_caps(root, None)] == want
+        assert readers(root) == readers(alone)
+
+    def test_threads_get_one_tuple(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        root = cf.build_joint(cf.demo_spec(4, 7))  # no cap or entropy computed yet
+
+        def query(k):
+            return cf.region.region_caps(root.relay_joint() if k % 2 else root, None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-walk
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(query, range(24), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 24 and all(caps is results[0] for caps in results)
+        assert results[0] == cf.region.region_caps(cf.build_relay_joint(cf.demo_spec(4, 7)), None)
 
 
 class TestMembership:

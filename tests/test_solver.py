@@ -324,6 +324,27 @@ class TestHardestTargets:
         print(f"{n} relays: at most {longest} shifts to a target next to an outer vertex")
 
 
+    def test_fallback_pick_is_common_at_four_relays(self):
+        # no numerical edge: 251 of 390 near-vertex solves at 4 relays take it
+        joint = cf.build_relay_joint(cf.demo_spec(4, 7))
+        nodes = sorted(joint.relays)
+        vertices = np.array(greedy_vertices(cf.outer_h_rep(joint), nodes))
+        center = vertices.mean(axis=0)
+        rng = np.random.default_rng(2209)
+        fallbacks = 0
+        for v in vertices[sorted(rng.choice(len(vertices), 8, replace=False))]:
+            rates = cf.RateVector(dict(zip(nodes, map(float, 0.99 * v + 0.01 * center))))
+            _, trace = cf.solve(joint, rates)
+            assert trace.status == "achieved"
+            for step in trace.steps:
+                if step.degenerate:  # the union of the violators satisfies its cap
+                    union = frozenset().union(*step.report.violators)
+                    assert step.report.entry(union).satisfied and step.chosen != union
+                    assert cf.verify_core(joint, step.layering, step.core, rates).certified
+                    fallbacks += 1
+        assert fallbacks >= 1
+
+
 STRUCTURED = [(family, n) for family in SYMMETRIC_FAMILIES for n in range(1, 5)
               if family != "mixed" or n >= 2]
 
