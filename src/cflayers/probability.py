@@ -16,9 +16,9 @@ The source observation y1 and the destination input x_d never enter any
 computed quantity and are marginalized away at construction.
 
 All entropies are in bits.  Queries are pure and cached, and no joint changes
-once built, so joints can be shared freely across threads.  A joint built over
-more than the relay axes keeps the 2^(2n+1)-cell relay table (n binary relays)
-of `build_relay_joint` and sums every relay query from it, any other from itself.
+once built, so joints can be shared freely across threads.  A joint over more
+than the relay axes keeps a 2^(2n+1)-cell relay table (n binary relays), made
+once by `_build` or the constructor, and sums every relay query from it.
 No other joint is made over part of a joint's variables: the window and
 floor tables of `cflayers floors` are summed by `JointPmf._walk`, which makes
 no joint for them.
@@ -439,7 +439,7 @@ def _sum_table(table: np.ndarray, bits: tuple, mask: int) -> np.ndarray:
     """`table`, whose axes carry the memo-key bits `bits`, summed over every
     axis whose bit is outside `mask`; `table` itself when `mask` keeps every
     axis.  Every marginal, entropy and walked table is summed here, and so
-    is the relay table of a joint the constructor made.
+    is the relay table the constructor keeps.
 
     A view of the table orders its axes as two blocks, the kept axes and
     the dropped ones, so that the sum runs along one contiguous axis: the
@@ -495,8 +495,8 @@ _KINDS = ("x", "y", "yhat")  # the order of a node's variables
 def _check_variables(variables: tuple[Variable, ...]) -> None:
     """Raise InvalidSpecError unless every variable has a kind of _KINDS,
     their (node, kind) keys strictly increase, kinds ranked as in _KINDS, and
-    they are a network's: the last is Yd, the Y of node d, and the inputs
-    besides X1 are exactly X2..X_{d-1}, one per relay.  So no variable
+    they are a network's: the last is Yd, the Y of node d >= 3, and the
+    inputs besides X1 are exactly X2..X_{d-1}, one per relay.  So no variable
     repeats, and the relays and d read off the inputs are the network's."""
     keys = []
     for v in variables:
@@ -514,12 +514,21 @@ def _check_variables(variables: tuple[Variable, ...]) -> None:
         last = f"ends with {variables[-1].label}" if variables else "is empty"
         raise InvalidSpecError(f"joint variable list {last}; it must end with Yd")
     d, inputs = variables[-1].node, [v for v in variables if v.kind == "x" and v.node != 1]
+    if d < 3:  # as `validate_spec` refuses a spec
+        raise InvalidSpecError(f"joint variables end with Y{d}: need at least one relay (d >= 3)")
     if [v.node for v in inputs] != list(range(2, 2 + len(inputs))) or len(inputs) != d - 2:
         held = ", ".join(v.label for v in inputs) or "no relay input"
         raise InvalidSpecError(
             f"joint variables hold {held} with Y{d} last; they must hold the input of every"
             f" relay 2..{d - 1} and no other"
         )
+
+
+def _relay_axes(variables) -> list[int]:
+    """The places of the relay axes in `variables`, a network's: every one but
+    X1 and the relays' Yi.  A joint over more axes keeps its table over these."""
+    d = variables[-1].node
+    return [i for i, v in enumerate(variables) if v.label != "X1" and (v.kind != "y" or v.node == d)]
 
 
 def _mutual_info(h, a: int, b: int, c: int) -> float:
@@ -539,21 +548,22 @@ class JointPmf:
 
     The variables come in canonical order: by node, and within a node X, Y,
     then Yh, so Yd is last; the constructor raises InvalidSpecError on any
-    other order, a repeat or an unknown kind, and unless the last variable
-    is a Y, Yd, and every relay 2..d-1 keeps its Xi.  Axes follow that order
+    other order, a repeat or an unknown kind, and unless the last is Yd, a
+    Y of node d >= 3, and every relay 2..d-1 keeps its Xi.  Axes follow that order
     with the last index fastest; one (kind, node) -> axis map is the only
     layout lookup.  Entropy queries marginalize a table and are memoized by
     a mask with one bit per variable.  Concurrent reads are safe: a value
     may be computed twice, but the first one stored is returned.
 
-    `relay_joint()` is the joint of (Xi, Yhi per relay, Yd).  A joint `_build`
-    makes over more axes keeps the table of `build_relay_joint` as a part of
-    itself (`_part`): in its memo-key space and sharing its memo, so an
-    entropy computed on either answers both, and so do the outer region's
-    caps that `region.region_caps` keeps beside the memo.  A new entropy is
-    summed from the relay table when it holds the variables, so each relay
-    query sums the 2^(2n+1)-cell table, not the full one.  No other part is
-    made: the tables that `cflayers floors` walks are summed by `_walk`.
+    `relay_joint()` is the joint of (Xi, Yhi per relay, Yd).  A joint over
+    more axes keeps it as a part of itself (`_part`), made once: the table of
+    `build_relay_joint` from `_build`, its own table summed by the constructor.
+    The part is in its memo-key space and shares its memo, so an entropy
+    computed on either answers both, and so do the outer region's caps that
+    `region.region_caps` keeps beside the memo.  A new entropy is summed from
+    the relay table when it holds the variables, whichever member asks, so
+    each relay query sums the 2^(2n+1)-cell table, not the full one.  No other
+    part is made: the tables that `cflayers floors` walks are summed by `_walk`.
     Tables are checked where they enter, by the constructor or `_build`.
     """
 
@@ -563,6 +573,9 @@ class JointPmf:
         # a copy: the caller's array is neither frozen nor aliased
         self._init(variables, np.array(table, dtype=float))
         self._check()
+        mask = sum(self._bits[i] for i in _relay_axes(variables))
+        if mask != sum(self._bits):  # summed once, where `_build` contracts it
+            self._relay_joint = self._part(mask, _sum_table(self._table, self._bits, mask))
 
     def _init(self, variables: tuple[Variable, ...], table: np.ndarray) -> None:
         table.setflags(write=False)
@@ -655,13 +668,7 @@ class JointPmf:
 
     def _key(self, kind: str, nodes) -> int:
         """The memo mask of the variables of `kind` ("x", "y" or "yhat") at `nodes`."""
-        mask = 0
-        for node in nodes:
-            axis = self._axis.get((kind, node))
-            if axis is None:
-                raise UnknownVariableError(f"no variable {kind}{node} in this joint")
-            mask |= self._bits[axis]
-        return mask
+        return self._mask(self._var(kind, node) for node in nodes)
 
     def _entropy(self, mask: int, variables=None, at=None) -> float:
         """H of the variables in `mask`: the memo's, else summed by `_sum`
@@ -684,10 +691,10 @@ class JointPmf:
         return _sum_table(self._table, self._bits, self._mask(variables))
 
     def _source(self, mask: int) -> JointPmf:
-        """The joint a new sum to `mask` reads: the kept relay table when it
-        holds `mask`, this joint otherwise."""
-        relay = self._relay_joint
-        return relay if relay is not None and not mask & ~sum(relay._bits) else self
+        """The joint a new sum to `mask` reads: the relay table when it holds
+        `mask`, this joint otherwise."""
+        relay = self.relay_joint()
+        return relay if not mask & ~sum(relay._bits) else self
 
     def _sum(self, mask: int, at=None) -> np.ndarray:
         """The table of the variables in `mask`, summed from the kept relay
@@ -699,25 +706,18 @@ class JointPmf:
 
     def relay_joint(self) -> JointPmf:
         """The joint of (Xi, Yhi per relay, Yd), all that rate caps and shifts
-        read: the relay table this joint keeps, or else a new part, summed
-        from this joint on each call."""
-        relay = self._relay_joint
-        if relay is None:
-            relays = self._relays
-            relay = self._part(self._key("x", relays) | self._key("yhat", relays)
-                               | self._key("y", [self.d]))
-        return relay
+        read: the relay table this joint keeps, or this joint itself when it
+        has no other axes.  No call makes a joint."""
+        return self if self._relay_joint is None else self._relay_joint
 
-    def _part(self, mask: int, table: np.ndarray | None = None) -> JointPmf:
-        """The joint of the variables in `mask`: `table` when given, this
-        joint's distribution over them already computed, else summed from
-        this joint.  It is the same distribution, so it keeps this joint's
-        memo-key bits and shares its memo and outer caps; it keeps no relay
-        table, and its table, frozen in place, is not checked again."""
+    def _part(self, mask: int, table: np.ndarray) -> JointPmf:
+        """The joint of the variables in `mask` over `table`, this joint's
+        distribution over them: the relay table a joint keeps.  It keeps this
+        joint's memo-key bits and shares its memo and outer caps; it keeps no
+        relay table, and its table, frozen in place, is not checked again."""
         axes = [i for i, bit in enumerate(self._bits) if mask & bit]
         part = JointPmf.__new__(JointPmf)
-        part._init(tuple(self._variables[i] for i in axes),
-                   np.ascontiguousarray(self._sum(mask) if table is None else table))
+        part._init(tuple(self._variables[i] for i in axes), np.ascontiguousarray(table))
         part._bits, part._memo = tuple(self._bits[i] for i in axes), self._memo
         part._outer_caps = self._outer_caps
         return part
@@ -872,9 +872,7 @@ def _build(spec: ChannelSpec, keep=None) -> JointPmf:
         variables.append(Variable("yhat", r.node, r.yhat_alphabet))
     variables.append(Variable("y", spec.d, spec.dest_alphabet))
 
-    cells = 1
-    for v in variables:
-        cells *= v.size
+    cells = math.prod(v.size for v in variables)
     if cells > MAX_TABLE_CELLS:
         raise TableTooLargeError(
             f"joint table needs {cells} cells, above the cap of {MAX_TABLE_CELLS}"
@@ -886,8 +884,7 @@ def _build(spec: ChannelSpec, keep=None) -> JointPmf:
     factors += [(r.p_x, [a]) for r, a in zip(spec.relays, x_ax)]
     factors.append((spec.channel, [0] + x_ax + y_ax))
     factors += [(r.p_yhat, [a, a + 1, a + 2]) for r, a in zip(spec.relays, x_ax)]
-    relay_axes = [i for i, v in enumerate(variables)
-                  if v.label != "X1" and (v.kind != "y" or v.node == spec.d)]
+    relay_axes = _relay_axes(variables)
     axes = relay_axes if keep is None else [i for i, v in enumerate(variables) if keep(v)]
     if len(axes) == len(variables):
         table = _product(factors, tuple(v.size for v in variables))

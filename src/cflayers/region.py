@@ -22,6 +22,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import EmptySubsetError, InvalidRatesError, InvalidSubsetError
 from .layering import Layering, active, prefix_union, validate_layering
@@ -288,7 +289,7 @@ def _build_report(joint, layering, rates, epsilon) -> ConstraintReport:
     if layering is not None:
         require_valid_layering(joint, layering)
     rates.check_for(joint.relay_set)
-    if not 0.0 <= epsilon < math.inf:
+    if isinstance(epsilon, bool) or not isinstance(epsilon, Real) or not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     entries = []
     for s, rhs in _caps(joint, layering):  # the layering is checked above

@@ -20,6 +20,7 @@ accepts, and `max_iter` guards the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import InvalidSubsetError, NotConvergedError
 from .layering import Layering, canonicalize, compact, enumerate_layerings, shift
@@ -107,7 +108,7 @@ def solve(
     rates.check_for(relays)
     if max_iter is None:
         max_iter = default_max_iter(len(relays))
-    if max_iter < 1:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
     current = Layering((relays,))

@@ -304,7 +304,8 @@ class TestValidateSpec:
         (lambda vs: vs[:6], "hold X2, X3 with Y3 last"),  # X3 is Yd's node's input
         (lambda vs: vs[:7], "ends with Yh3"),  # no Yd
         (lambda vs: [], "is empty"),
-    ], ids=["relay-dropped", "relay-gap", "yhat-past-d", "x-of-d", "no-yd", "empty"])
+        (lambda vs: [vs[0], cf.Variable("y", 2, 2)], r"need at least one relay \(d >= 3\)"),
+    ], ids=["relay-dropped", "relay-gap", "yhat-past-d", "x-of-d", "no-yd", "empty", "no-relay"])
     def test_joint_variables_of_a_network(self, demo2, edit, message):
         variables = edit(list(demo2.variables))
         shape = tuple(v.size for v in variables)
@@ -324,6 +325,18 @@ class TestValidateSpec:
         made = cf.JointPmf(built.variables, built.table)
         assert (made.relays, made.d) == (built.relays, built.d) == ((2, 3, 4), 5)
         assert made.relay_joint().variables == built.relay_joint().variables
+
+    def test_relay_table_without_a_compression(self, demo2):
+        # a joint without Yh3 keeps the relay table of the axes it has
+        variables = [v for v in demo2.variables if v != demo2.yhat(3)]
+        made = cf.JointPmf(variables, demo2.marginal(variables))
+        relay = made.relay_joint()
+        keep = [demo2.x(2), demo2.yhat(2), demo2.x(3), demo2.yd]
+        assert list(relay.variables) == keep and relay is made.relay_joint()
+        assert_same_bits(relay.table, made.marginal(keep))
+        assert made.relay_entropy({2, 3}, {2}) == relay.relay_entropy({2, 3}, {2})
+        with pytest.raises(cf.UnknownVariableError):
+            relay.relay_entropy({2}, {3})
 
     def test_joint_with_nan_mass_rejected(self, demo2):
         table = demo2.table.copy()
@@ -574,16 +587,17 @@ class TestBuildOrder:
 
 
 class TestPart:
-    """`JointPmf._part`, which makes both a built joint's kept relay table and a
-    constructed joint's `relay_joint()`: the same distribution over fewer axes,
-    in the parent's memo-key space and sharing its memo."""
+    """`JointPmf._part`, which makes the relay table that every joint over more
+    than the relay axes keeps, contracted by `_build` or summed once by the
+    constructor: the same distribution over fewer axes, in the parent's memo-key
+    space and sharing its memo."""
 
     def test_queries_match_parent(self):
         rng = np.random.default_rng(83)
         for n in (2, 2, 3, 3):
             spec = random_spec(rng, n_relays=n)
             full = cf.build_joint(spec)  # shares no memo with the part below
-            # a cold constructed parent keeps no relay table: the part sums its own tables
+            # a cold constructed parent's relay table: the part sums its own tables
             joint = cf.JointPmf(full.variables, full.table).relay_joint()
             for a in powerset(full.relays):
                 for b in powerset(full.relays):
@@ -594,7 +608,7 @@ class TestPart:
 
     def test_keeps_parent_entropies(self, summed_sizes):
         root = cf.build_joint(cf.demo_spec(3, 7))
-        made = cf.JointPmf(root.variables, root.table)  # keeps no relay table
+        made = cf.JointPmf(root.variables, root.table)  # a family of its own
         pairs = [(a, b) for a in powerset(made.relays) for b in powerset(made.relays)]
         known = {(a, b): made.relay_entropy(a, b) for a, b in pairs}
         known["x2yh3"] = made.entropy({made.x(2), made.yhat(3)})
@@ -610,21 +624,31 @@ class TestPart:
         assert made.entropy({made.yhat(2)}) == h and summed_sizes == [joint.table.size]
         assert abs(h - root.entropy({root.yhat(2)})) <= 1e-12
 
-    def test_parent_and_sibling_share_the_memo(self, summed_sizes):
+    @pytest.mark.parametrize("make", ["build_joint", "constructed"])
+    def test_parent_and_relay_table_share_the_memo(self, summed_sizes, make):
         root = cf.build_joint(cf.demo_spec(3, 7))
-        assert root.relay_joint()._memo is root._memo
-        made = cf.JointPmf(root.variables, root.table)
-        left, right = made.relay_joint(), made.relay_joint()
-        assert left is not right and left._memo is made._memo and right._memo is made._memo
-        pairs = [(a, b) for a in powerset(made.relays) for b in powerset(made.relays)]
-        known = {(a, b): left.relay_entropy(a, b) for a, b in pairs}
-        known["x2yh3"] = left.entropy({left.x(2), left.yhat(3)})
+        if make == "constructed":
+            root = cf.JointPmf(root.variables, root.table)
+        relay = root.relay_joint()
+        assert relay._memo is root._memo and relay._outer_caps is root._outer_caps
+        pairs = [(a, b) for a in powerset(root.relays) for b in powerset(root.relays)]
+        known = {(a, b): relay.relay_entropy(a, b) for a, b in pairs}
+        known["x2yh3"] = relay.entropy({relay.x(2), relay.yhat(3)})
         summed_sizes.clear()
-        for joint in (made, right):
-            got = {(a, b): joint.relay_entropy(a, b) for a, b in pairs}
-            got["x2yh3"] = joint.entropy({joint.x(2), joint.yhat(3)})
-            assert got == known
-        assert summed_sizes == []
+        got = {(a, b): root.relay_entropy(a, b) for a, b in pairs}
+        got["x2yh3"] = root.entropy({root.x(2), root.yhat(3)})
+        assert got == known and summed_sizes == []
+
+    def test_relay_axes_only_is_its_own_relay_table(self):
+        joint = cf.build_relay_joint(cf.demo_spec(3, 7))
+        assert joint.relay_joint() is joint and joint._relay_joint is None
+        made = cf.JointPmf(joint.variables, joint.table)
+        assert made.relay_joint() is made and made._relay_joint is None
+
+    def test_constructed_joint_keeps_one_relay_table(self, demo3, summed_sizes):
+        made = cf.JointPmf(demo3.variables, demo3.table)
+        assert summed_sizes == [demo3.table.size]  # summed once, by the constructor
+        assert made.relay_joint() is made.relay_joint() and summed_sizes == [demo3.table.size]
 
     def test_canonical_order_and_table(self, demo3):
         made = cf.JointPmf(demo3.variables, demo3.table)
@@ -641,13 +665,12 @@ class TestPart:
     def test_sums_without_the_public_marginal(self, demo3, monkeypatch):
         # `marginal` is the method a tracer wraps to count generic queries
         def refuse(self, variables):
-            raise AssertionError("relay_joint called JointPmf.marginal")
+            raise AssertionError("the constructor called JointPmf.marginal")
 
-        made = cf.JointPmf(demo3.variables, demo3.table)
         monkeypatch.setattr(cf.JointPmf, "marginal", refuse)
-        joint = made.relay_joint()
+        made = cf.JointPmf(demo3.variables, demo3.table)
         monkeypatch.undo()
-        assert np.array_equal(joint.table, made.marginal(relay_axes(made)))
+        assert np.array_equal(made.relay_joint().table, made.marginal(relay_axes(made)))
 
 
 class TestFamily:
@@ -671,6 +694,20 @@ class TestFamily:
         # one sum per query, every mask being new, each of the kept relay table
         assert summed_sizes == [members["relay"].table.size] * len(want)
         assert members["relay"].table.size < root.table.size
+
+    # a constructed joint sums its relay table once, so every entry of the memo it
+    # shares with that table is summed from it, whichever member asks first
+    @pytest.mark.parametrize("n, seed", [(3, 1), (4, 7), (5, 301), (6, 7)])
+    def test_caps_do_not_depend_on_who_asks_first(self, n, seed):
+        full = cf.build_joint(cf.demo_spec(n, seed))
+        one_per_layer = cf.layering.make_layering([{i} for i in full.relays])
+        caps = {}
+        for first in ("joint", "relay"):
+            made = cf.JointPmf(full.variables, full.table)
+            asked = made if first == "joint" else made.relay_joint()
+            caps[first] = (cf.region.region_caps(asked, None),
+                           cf.region.region_caps(asked, one_per_layer))
+        assert caps["joint"] == caps["relay"]
 
     def test_cli_sums_read_the_joint_asked_or_its_relay_table(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -843,21 +880,20 @@ class TestKeptRelayTable:
     def test_joints_never_change(self):
         spec = cf.demo_spec(3, 7)
         root = cf.build_joint(spec)
-        made = cf.JointPmf(root.variables, root.table)  # keeps no relay table
+        made = cf.JointPmf(root.variables, root.table)  # sums its relay table once
         x1_free = cf.probability._build(spec, lambda v: v.label != "X1")  # as `floors`
-        for joint in (root, x1_free, cf.build_relay_joint(spec), made):
+        relay = cf.build_relay_joint(spec)
+        for joint in (root, x1_free, relay, made):
             kept = joint._relay_joint
             first = joint.relay_joint()
             for _ in joint._walk([(joint._key("yhat", [2]),)]):  # sums a table below it
                 pass
             joint.entropy({joint.x(2), joint.yd})
             joint.relay_entropy({2, 3}, {4})
-            second = joint.relay_joint()
-            assert joint._relay_joint is kept
-            assert np.array_equal(first.table, second.table)
-            assert (first is second) == (kept is not None)
-        assert made._relay_joint is None
-        assert root._relay_joint is not None and x1_free._relay_joint is not None
+            assert joint._relay_joint is kept and joint.relay_joint() is first
+            assert first is (joint if kept is None else kept)
+        assert relay._relay_joint is None
+        assert None not in (root._relay_joint, x1_free._relay_joint, made._relay_joint)
 
     def test_floors_relay_entries_are_the_relay_joints(self, tmp_path, monkeypatch, capsys):
         roots = []
@@ -916,6 +952,16 @@ def sum_to(joint, mask):
     return cf.probability._sum_table(joint.table, joint._bits, mask)
 
 
+def entropy_of(table):
+    """H in bits of a summed table, every cell above ZERO_MASS copied, as
+    `JointPmf._entropy` formed it before it skipped the copy."""
+    probs = table.ravel()
+    probs = probs[probs > ZERO]
+    terms = np.log2(probs)
+    terms *= probs
+    return max(0.0, float(-np.sum(terms)))
+
+
 class TestSumTo:
     """`_sum_table` sums one contiguous block per slab; numpy's multi-axis sum is the
     reference."""
@@ -959,16 +1005,15 @@ class TestSumTo:
     @pytest.mark.parametrize("slab", [5, cf.probability.SUM_SLAB_CELLS])
     def test_members_agree(self, monkeypatch, summed_sizes, slab):
         monkeypatch.setattr(cf.probability, "SUM_SLAB_CELLS", slab)
-        spec = cf.demo_spec(3, 7)
-        root = cf.build_joint(spec)
-        # a family of its own that keeps no relay table: every sum reads its table
-        reference = cf.JointPmf(root.variables, root.table)
+        root = cf.build_joint(cf.demo_spec(3, 7))
         relay = root.relay_joint()
         pairs = [(a, b) for a in powerset(root.relays) for b in powerset(root.relays)]
         summed_sizes.clear()
-        want = [reference.relay_entropy(a, b) for a, b in pairs]
+        # the reference: each term summed by the kernel from the full table
+        want = [entropy_of(sum_to(root, root._mask(root.xs(a) | root.yhats(b) | {root.yd})))
+                for a, b in pairs]
         got = [root.relay_entropy(a, b) for a, b in pairs]
-        assert set(summed_sizes) == {reference.table.size, relay.table.size}
+        assert set(summed_sizes) == {root.table.size, relay.table.size}
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
 
     def test_copies_no_table(self):
@@ -1031,15 +1076,14 @@ class TestEntropy:
             [ZERO, ZERO / 2, 0.5 - 1.5 * ZERO, 0.5, 0.0, 0.0, 0.0, 0.0]).reshape(2, 2, 1, 1, 2)),
     ], ids=["positive", "zeros", "at-and-below-zero-mass"])
     def test_equals_the_compress_path(self, make):
-        built = make()
-        joint = cf.JointPmf(built.variables, built.table)  # no relay table: one table sums all
+        joint = make()
+        relay = joint.relay_joint()
         for k in range(len(joint.variables) + 1):
             for variables in combinations(joint.variables, k):
-                marg = joint.marginal(variables).ravel()
-                probs = marg[marg > ZERO]  # every cell copied, as before the skip
-                terms = np.log2(probs)
-                terms *= probs
-                assert joint.entropy(variables) == max(0.0, float(-np.sum(terms)))
+                # the table the joint sums them from: its relay table when that holds them
+                source = relay if set(variables) <= set(relay.variables) else joint
+                want = entropy_of(sum_to(source, joint._mask(variables)))
+                assert joint.entropy(variables) == want
 
     def test_no_copy_when_no_cell_is_dropped(self):
         joint = cf.build_joint(cf.demo_spec(4, 7))
@@ -1214,18 +1258,20 @@ class TestConcurrency:
     def test_relay_tables_return_one_value(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        full = cf.build_joint(cf.demo_spec(3, 7))  # cold cache
+        full = cf.build_joint(cf.demo_spec(3, 7))  # cold caches
         kept = full.relay_joint()
-        made = cf.JointPmf(kept.variables, kept.table)  # keeps no relay table
+        made = cf.JointPmf(kept.variables, kept.table)  # its own relay table
+        root = cf.JointPmf(full.variables, full.table)  # keeps one, summed from its own
         pairs = [(a, b) for a in powerset(full.relays) for b in powerset(full.relays)]
 
         def query(k):
-            # two threads in three query a relay table of `made`, made and dropped
-            # mid-query, which shares its memo, while the others query `full`, which sums
-            # from its kept relay table: the same table, so the same bits
-            joint = made.relay_joint() if k % 3 else full
+            # by thread: `full`, which sums from its kept relay table, or `made`, over the
+            # same table, so the same bits; or `root`, or its relay table asked for
+            # mid-query, which shares its memo
+            joint = (full, made, root, None)[k % 4] or root.relay_joint()
             order = np.random.default_rng(k).permutation(len(pairs))
-            return {pairs[i]: joint.relay_entropy(*pairs[i]) for i in order}
+            family = "full" if k % 4 < 2 else "root"
+            return family, {pairs[i]: joint.relay_entropy(*pairs[i]) for i in order}
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, mid-query
@@ -1235,34 +1281,9 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 24
-        for key in pairs:
-            assert len({r[key] for r in results}) == 1
-
-    def test_relay_table_made_mid_query(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        root = cf.build_joint(cf.demo_spec(3, 7))
-        joint = cf.JointPmf(root.variables, root.table)  # keeps no relay table
-        pairs = [(a, b) for a in powerset(joint.relays) for b in powerset(joint.relays)]
-
-        def query(k):
-            # each call sums a relay table of its own
-            relay = joint.relay_joint() if k % 2 else joint
-            order = np.random.default_rng(k).permutation(len(pairs))
-            return relay, {pairs[i]: relay.relay_entropy(*pairs[i]) for i in order}
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(query, range(24), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(results) == 24
-        for relay, _ in results[1::2]:
-            assert np.array_equal(relay.table, joint.relay_joint().table)
-        for key in pairs:
-            assert len({values[key] for _, values in results}) == 1
+        for family in ("full", "root"):
+            for key in pairs:
+                assert len({values[key] for f, values in results if f == family}) == 1
 
 
 class TestJson:

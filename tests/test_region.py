@@ -12,7 +12,8 @@ from cflayers.region import subsets_by_mask
 
 from _factor_oracle import FactorOracle
 from _oracle import brute_force_joint, cond_entropy, entropy, variable_labels
-from conftest import random_layering, random_spec, random_subset, sample_outer_point
+from conftest import (greedy_vertices, random_layering, random_spec, random_subset,
+                      sample_outer_point)
 from test_probability import unit_spec
 
 # Frozen oracle values for the seed-7 two-relay demo channel.
@@ -46,6 +47,11 @@ MISTYPED_RATE_FILES = [
     '{"rates": [["2", 0.001], ["2", 9], ["3", 0.001]]}',
     '{"rates": [["2", 0.001], ["3", 0.001]]}',
 ]
+
+
+def joint_indicator(nodes, subset):
+    """The 0/1 vector of `subset` over the sorted relay `nodes`."""
+    return np.array([float(i in subset) for i in nodes])
 
 
 def zero_rates(joint):
@@ -117,6 +123,18 @@ class TestRateVector:
             cf.check_outer(demo2, zero_rates(demo2), epsilon)
         with pytest.raises(ValueError, match="epsilon"):
             cf.check_layered(demo2, parse_layering("2|3"), zero_rates(demo2), epsilon)
+
+    def test_epsilon_is_a_number(self, demo2):
+        # a bool would be reported, and written to JSON, as true; a string used to
+        # fail in `<=` with a bare TypeError
+        for epsilon in (True, False, np.True_, "1", None):
+            with pytest.raises(ValueError, match="^epsilon must be finite and nonnegative"):
+                cf.check_outer(demo2, zero_rates(demo2), epsilon)
+            with pytest.raises(ValueError, match="^epsilon must be finite and nonnegative"):
+                cf.check_layered(demo2, parse_layering("2|3"), zero_rates(demo2), epsilon)
+        for epsilon in (0, 1e-9, np.float32(1e-9), np.int64(0)):
+            report = cf.check_outer(demo2, zero_rates(demo2), epsilon)
+            assert report.epsilon == epsilon and report.is_member
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "rates.json"
@@ -302,7 +320,7 @@ class TestOuterCapsOnce:
     @pytest.mark.parametrize("case", ["root-first", "relay-first", "constructed"])
     def test_root_and_relay_joint_share_one_tuple(self, case):
         root = cf.build_joint(cf.demo_spec(3, 7))
-        if case == "constructed":  # keeps no relay table: a new one on each call
+        if case == "constructed":  # keeps the relay table it sums once
             root = cf.JointPmf(root.variables, root.table)
         joints = [root.relay_joint(), root] if case == "relay-first" else [root, root.relay_joint()]
         caps = cf.region.region_caps(joints[0], None)
@@ -687,6 +705,26 @@ class TestLayeredVersusOuter:
                     inside += cf.check_outer(demo2, rates).is_member
         print(f"layered members also in outer region: {inside}/{total}")
         assert total > 0
+
+    @pytest.mark.parametrize("n, sample", [(2, None), (3, None), (4, None), (5, 40)])
+    def test_every_layered_vertex_meets_the_outer_caps(self, n, sample):
+        """An observed property, not a theorem of the package: layered caps are
+        submodular, so a layered region lies in the outer region exactly when
+        each of its greedy vertices meets every outer cap.  Every canonical
+        layering at n <= 4; a seeded sample of the 541 at 5 relays."""
+        for seed in (1, 7, 301) if sample is None else (7,):
+            joint = cf.build_relay_joint(cf.demo_spec(n, seed))
+            nodes = sorted(joint.relays)
+            outer = [(joint_indicator(nodes, s), cap)
+                     for s, cap in cf.region.region_caps(joint, None)]
+            layerings = list(cf.enumerate_layerings(joint.relay_set))
+            if sample is not None:
+                picks = np.random.default_rng(seed).choice(len(layerings), sample, replace=False)
+                layerings = [layerings[i] for i in picks]
+            for lay in layerings:
+                vertices = np.array(greedy_vertices(cf.h_rep(joint, lay), nodes))
+                for indicator, cap in outer:
+                    assert (vertices @ indicator).max() <= cap + 1e-12, (lay, indicator)
 
 
 class TestFactorOracle:

@@ -58,6 +58,14 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="epsilon"):
             cf.solve(demo2, zero_rates(demo2), epsilon=float("nan"))
 
+    def test_max_iter_is_an_integer(self, demo2):
+        # True used to run as 1, and 2.5 to fail in `range` with a bare TypeError
+        for max_iter in (True, False, 2.5, 2.0, np.float64(2.0), "2"):
+            with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+                cf.solve(demo2, zero_rates(demo2), max_iter=max_iter)
+        for max_iter in (1, np.int64(1), np.uint8(1)):
+            assert cf.solve(demo2, zero_rates(demo2), max_iter=max_iter)[1].status == "achieved"
+
 
 def over_singleton_caps(joint, over):
     """Rates at 1.01x the singleton outer cap for the relays in `over`, 1e-4 elsewhere."""
