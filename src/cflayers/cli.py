@@ -24,10 +24,8 @@ from . import geometry, region, solver
 from .demo import demo_spec
 from .errors import CFLayersError, NotConvergedError
 from .layering import enumerate_layerings, parse_layering
-from .probability import (
-    _build, build_joint, build_relay_joint, load_spec, validate_spec, write_json,
-)
-from .region import DEFAULT_EPSILON, fmt12, load_rates
+from .probability import build_joint, build_relay_joint, load_spec, validate_spec, write_json
+from .region import DEFAULT_EPSILON, load_rates
 
 EXIT_OK = 0
 EXIT_NON_MEMBER = 1
@@ -72,10 +70,10 @@ def _achieved_lines(layering, trace: solver.SolveTrace):
         )
 
 
-def _floor_lines(floors: dict, entries: list):
-    for i in sorted(floors):
-        yield f"floor({i}) = {floors[i]:.12g}"
-    for e in entries:
+def _floor_lines(obj: dict):
+    for i, floor in obj["floors"].items():
+        yield f"floor({i}) = {floor:.12g}"
+    for e in obj["subsets"]:
         subset = ",".join(str(i) for i in e["subset"])
         window = "nonempty" if e["window_nonempty"] else "empty"
         flag = "" if e["consistent"] else " INCONSISTENT"
@@ -147,55 +145,11 @@ def cmd_demo(args) -> tuple:
 
 
 def cmd_floors(args) -> tuple:
-    # no floor, cap or window term reads X1: the full joint is never built
-    joint = _build(load_spec(args.channel), lambda v: v.label != "X1")
-    relays, key = joint.relays, joint._key
-    ys = {i: key("y", [i]) for i in relays}
-    # H(X_R, Y_S, Yh_{R-S}, Yd) of each nonempty S goes into the memo, where `mi_gap`
-    # finds it: the whole-table entropy of a leaf of a walk that sums away Y_i or Yh_i,
-    # relay by relay.  The leaf of the empty S is the relay table, which the caps read.
-    windows, any_y = [(ys[i], key("yhat", [i])) for i in relays], key("y", relays)
-    for depth, mask, h in joint._walk(windows):
-        if depth == len(relays) and mask & any_y:
-            h(mask)
-    # T(S), the table of (X_R, Yh_R, Y_S, Yd), summed from the T of a set one node
-    # larger by dropping its Y_i, nodes in decreasing order, so each S comes once; each
-    # floor is read from the smallest table that holds it, T({i})
-    floors, gaps = {}, {}
-    for _, mask, h in joint._walk([(ys[i], 0) for i in reversed(relays)]):
-        s = frozenset(i for i in relays if mask & ys[i])
-        if s:
-            gaps[s] = region._mi_gap(joint, s, h)
-        if len(s) == 1:
-            (i,) = s
-            floors[i] = region._relay_floor(joint, i, h)
-    entries = []
-    consistent = True
-    for s, cap in region.region_caps(joint.relay_joint(), None):
-        floor_sum = region.floor_sum(floors, s)
-        window = cap - floor_sum
-        ok = abs(window - gaps[s]) <= 1e-9
-        consistent &= ok
-        entries.append(
-            {
-                "subset": sorted(s),
-                "floor_sum": fmt12(floor_sum),
-                "boundary_rhs": fmt12(cap),
-                "window": fmt12(window),
-                "window_nonempty": window > 0.0,
-                "mi_gap": fmt12(gaps[s]),
-                "consistent": ok,
-            }
-        )
-    obj = {
-        "floors": {str(i): fmt12(floors[i]) for i in sorted(floors)},
-        "subsets": entries,
-        "consistent": consistent,
-    }
-    if not consistent:
+    obj = region.floors_report(load_spec(args.channel))
+    if not obj["consistent"]:
         print("internal-consistency failure: window and mutual-information forms disagree",
               file=sys.stderr)
-    return (EXIT_OK if consistent else EXIT_NON_MEMBER), obj, _floor_lines(floors, entries)
+    return (EXIT_OK if obj["consistent"] else EXIT_NON_MEMBER), obj, _floor_lines(obj)
 
 
 def build_parser() -> argparse.ArgumentParser:

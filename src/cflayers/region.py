@@ -26,7 +26,7 @@ from numbers import Real
 
 from .errors import EmptySubsetError, InvalidRatesError, InvalidSubsetError
 from .layering import Layering, active, prefix_union, validate_layering
-from .probability import JointPmf, _mutual_info
+from .probability import JointPmf, _build, _mutual_info
 
 DEFAULT_EPSILON = 1e-9
 
@@ -289,14 +289,18 @@ def _build_report(joint, layering, rates, epsilon) -> ConstraintReport:
     if layering is not None:
         require_valid_layering(joint, layering)
     rates.check_for(joint.relay_set)
-    if isinstance(epsilon, bool) or not isinstance(epsilon, Real) or not 0.0 <= epsilon < math.inf:
+    try:  # a float, so that no verdict is a numpy bool; 10**400 overflows
+        value = float(epsilon) if isinstance(epsilon, Real) else math.nan
+    except OverflowError:
+        value = math.inf
+    if isinstance(epsilon, bool) or not 0.0 <= value < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     entries = []
     for s, rhs in _caps(joint, layering):  # the layering is checked above
         rate_sum = rates.subset_sum(s)
-        entries.append(SubsetConstraint(s, rhs, rate_sum, satisfied=(rhs - rate_sum) > epsilon))
+        entries.append(SubsetConstraint(s, rhs, rate_sum, satisfied=(rhs - rate_sum) > value))
     kind = "outer" if layering is None else "layered"
-    return ConstraintReport(kind=kind, epsilon=epsilon, entries=tuple(entries))
+    return ConstraintReport(kind=kind, epsilon=value, entries=tuple(entries))
 
 
 def check_layered(
@@ -345,16 +349,8 @@ def compression_floor(joint: JointPmf) -> dict[int, float]:
     return {i: _relay_floor(joint, i, joint._entropy) for i in joint.relays}
 
 
-def relay_floor(joint: JointPmf, i: int) -> float:
-    """Relay i's compression floor I(Yhi; Yi | Xi), in bits, on any joint that
-    keeps Yi."""
-    (i,) = _relay_subset(joint, {i})
-    return _relay_floor(joint, i, joint._entropy)
-
-
 def _relay_floor(joint: JointPmf, i: int, h) -> float:
-    """`relay_floor` with its entropies from `h`, a function of a mask in the
-    memo-key space of `joint`."""
+    """Relay i's compression floor I(Yhi; Yi | Xi), its entropies from `h` as in `_mi_gap`."""
     key = joint._key
     return _mutual_info(h, key("yhat", [i]), key("y", [i]), key("x", [i]))
 
@@ -434,3 +430,53 @@ def window_gap_forms(joint: JointPmf, s) -> tuple[float, ...]:
     )
     g9 = _mi_gap(joint, s, joint._entropy)
     return (g1, g2, g3, g4, g5, g6, g7, g8, g9)
+
+
+def floors_report(spec) -> dict:
+    """The JSON object of `cflayers floors` on `spec`: each relay's floor and, per
+    subset S in bitmask order, its floor sum, outer cap, window (cap minus floor
+    sum) and `mi_gap`, consistent when window and gap agree within 1e-9.
+
+    No term reads X1: the joint is X1-free, and `region_caps` on the relay table it
+    keeps gives `check`'s caps.  Two walks of its table (`JointPmf._walk`) fill its
+    memo.  The first sums away Y_i or Yh_i, relays increasing: the entropy of a leaf
+    with some Y_i is H(X_R, Y_S, Yh_{R-S}, Yd), the one term of S's gap not in the
+    relay table.  The second drops Y_i or keeps it, relays decreasing, so each T(S)
+    of (X_R, Yh_R, Y_S, Yd) is summed once, from the T of a set one node larger: S's
+    gap is read from T(S), relay i's floor from T({i}).  Walked entropies differ in
+    the last bits from direct sums, so the joint is built here, where they enter no
+    memo that a caller holds."""
+    joint = _build(spec, lambda v: v.label != "X1")
+    del spec  # not held through the walks, whose tables would fragment the heap around it
+    relays, key = joint.relays, joint._key
+    ys = {i: key("y", [i]) for i in relays}
+    windows, any_y = [(ys[i], key("yhat", [i])) for i in relays], key("y", relays)
+    for depth, mask, h in joint._walk(windows):
+        if depth == len(relays) and mask & any_y:
+            h(mask)
+    floors, gaps = {}, {}
+    for _, mask, h in joint._walk([(ys[i], 0) for i in reversed(relays)]):
+        s = frozenset(i for i in relays if mask & ys[i])
+        if s:
+            gaps[s] = _mi_gap(joint, s, h)
+        if len(s) == 1:
+            (i,) = s
+            floors[i] = _relay_floor(joint, i, h)
+    entries = []
+    for s, cap in region_caps(joint.relay_joint(), None):
+        total = floor_sum(floors, s)
+        window = cap - total
+        entries.append({
+            "subset": sorted(s),
+            "floor_sum": fmt12(total),
+            "boundary_rhs": fmt12(cap),
+            "window": fmt12(window),
+            "window_nonempty": window > 0.0,
+            "mi_gap": fmt12(gaps[s]),
+            "consistent": abs(window - gaps[s]) <= 1e-9,
+        })
+    return {
+        "floors": {str(i): fmt12(floors[i]) for i in sorted(floors)},
+        "subsets": entries,
+        "consistent": all(e["consistent"] for e in entries),
+    }

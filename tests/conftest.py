@@ -151,7 +151,7 @@ def no_table(monkeypatch):
         raise AssertionError("a joint table was built")
 
     monkeypatch.setattr(cf.probability, "_build", refuse)
-    monkeypatch.setattr(cf.cli, "_build", refuse)
+    monkeypatch.setattr(cf.region, "_build", refuse)
 
 
 @pytest.fixture

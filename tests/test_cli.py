@@ -326,6 +326,32 @@ class TestExport:
         obj = json.loads(first)
         assert len(obj["layerings"]) == 3
 
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_blocks_hold_check_caps(self, tmp_path, capsys, n):
+        # export's outer block holds check's (subset, rhs) pairs, and a layered block
+        # those of check --layering: one layer, one relay per layer, and a seeded one
+        nodes = range(2, n + 2)
+        layerings = cf.enumerate_layerings(nodes)
+        rates = write_rates(tmp_path, {i: 0.0 for i in nodes})
+        for seed in (1, 7, 301):
+            path = tmp_path / f"demo{n}_{seed}.json"
+            cf.demo_spec(n, seed).save(path)
+            assert main(["export", "--channel", str(path)]) == 0
+            atlas = json.loads(capsys.readouterr().out)
+            blocks = {str(e["layers"]): e["halfspaces"] for e in atlas["layerings"]}
+            picked = layerings[np.random.default_rng(seed).integers(len(layerings))]
+            texts = [",".join(map(str, nodes)), "|".join(map(str, reversed(nodes))),
+                     picked.to_text()]
+            for text in [None] + texts:
+                flags = [] if text is None else ["--layering", text]
+                assert main(["check", "--channel", str(path), "--rates", rates,
+                             "--format", "json"] + flags) in (0, 1)
+                check = json.loads(capsys.readouterr().out)["subsets"]
+                block = (atlas["outer"]["halfspaces"] if text is None else
+                         blocks[str([sorted(g) for g in cf.parse_layering(text).layers])])
+                assert [(h["subset"], h["rhs"]) for h in block] == [
+                    (c["subset"], c["rhs"]) for c in check]
+
     def test_out_file(self, demo2_file, tmp_path, capsys):
         out = tmp_path / "atlas.json"
         assert main(["export", "--channel", demo2_file, "--out", str(out)]) == 0
@@ -505,7 +531,7 @@ class TestFloors:
     def test_ternary_y_matches_library_unrounded(self, tmp_path, capsys, monkeypatch):
         # floors read the singleton subset tables T({i}) and windows the one-axis walk,
         # the library the full joint: without the printed rounding they agree to 1e-12
-        monkeypatch.setattr(cf.cli, "fmt12", float)
+        monkeypatch.setattr(cf.region, "fmt12", float)
         one_axis = []
         sum_table = cf.probability._sum_table
 
@@ -560,6 +586,34 @@ class TestFloors:
         assert main(["floors", "--channel", demo3_file]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_report_is_the_json_output(self, demo3_file, capsys):
+        assert main(["floors", "--channel", demo3_file, "--format", "json"]) == 0
+        report = cf.region.floors_report(cf.load_spec(demo3_file))
+        assert json.loads(capsys.readouterr().out) == report
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_inconsistent_subset_exits_one(self, demo3_file, capsys, monkeypatch, fmt):
+        # one gap moved past the 1e-9 rule: that subset, and only it, is inconsistent
+        mi_gap = cf.region._mi_gap
+
+        def moved(joint, s, h):
+            return mi_gap(joint, s, h) + (1e-6 if s == {2, 4} else 0.0)
+
+        monkeypatch.setattr(cf.region, "_mi_gap", moved)
+        assert main(["floors", "--channel", demo3_file, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert err == ("internal-consistency failure: window and mutual-information forms "
+                       "disagree\n")
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["consistent"] is False
+            assert [e["subset"] for e in obj["subsets"] if not e["consistent"]] == [[2, 4]]
+        else:
+            lines = [line for line in out.splitlines() if line.startswith("S=")]
+            assert len(lines) == 7
+            assert [line for line in lines if line.endswith(" INCONSISTENT")] == [
+                line for line in lines if line.startswith("S={2,4} ")]
+
     def test_constant_compression_floors_zero(self, tmp_path, capsys):
         from test_probability import unit_spec
 
@@ -589,7 +643,7 @@ class TestStructuredFloors:
 
     @pytest.mark.parametrize("family, n", STRUCTURED)
     def test_matches_library_and_factor_oracle(self, tmp_path, capsys, monkeypatch, family, n):
-        monkeypatch.setattr(cf.cli, "fmt12", float)  # the printed numbers unrounded
+        monkeypatch.setattr(cf.region, "fmt12", float)  # the printed numbers unrounded
         spec = symmetric_family(family, n)
         spec.save(tmp_path / "chan.json")
         assert main(["floors", "--channel", str(tmp_path / "chan.json"), "--format", "json"]) == 0

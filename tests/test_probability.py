@@ -846,7 +846,7 @@ class TestWalk:
                 if len(s) == 1:
                     (i,) = s
                     floor = cf.region._relay_floor(joint, i, h)
-                    assert abs(floor - cf.region.relay_floor(full, i)) <= 1e-12
+                    assert abs(floor - cf.compression_floor(full)[i]) <= 1e-12
             assert len(set(seen)) == len(seen) == 2 ** len(relays)
 
 
@@ -897,13 +897,13 @@ class TestKeptRelayTable:
 
     def test_floors_relay_entries_are_the_relay_joints(self, tmp_path, monkeypatch, capsys):
         roots = []
-        build = cf.cli._build
+        build = cf.region._build
 
         def building(*args):
             roots.append(build(*args))
             return roots[-1]
 
-        monkeypatch.setattr(cf.cli, "_build", building)
+        monkeypatch.setattr(cf.region, "_build", building)
         spec = cf.demo_spec(4, 7)
         spec.save(tmp_path / "c4.json")
         assert cf.cli.main(["floors", "--channel", str(tmp_path / "c4.json")]) == 0

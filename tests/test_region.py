@@ -1,5 +1,6 @@
 """Rate caps, membership reports, floors, and the window identities."""
 
+import io
 import json
 import sys
 
@@ -15,6 +16,7 @@ from _oracle import brute_force_joint, cond_entropy, entropy, variable_labels
 from conftest import (greedy_vertices, random_layering, random_spec, random_subset,
                       sample_outer_point)
 from test_probability import unit_spec
+from test_solver import TWO_SHIFT_RATES
 
 # Frozen oracle values for the seed-7 two-relay demo channel.
 H_STAGE1_L23_S23 = 1.723535028197186  # H(X3 Yh2 | X2 Y4)
@@ -135,6 +137,31 @@ class TestRateVector:
         for epsilon in (0, 1e-9, np.float32(1e-9), np.int64(0)):
             report = cf.check_outer(demo2, zero_rates(demo2), epsilon)
             assert report.epsilon == epsilon and report.is_member
+
+    @pytest.mark.parametrize("epsilon", [np.float32(1e-9), np.float64(1e-9)])
+    def test_numpy_epsilon_reports_are_written(self, demo3, epsilon):
+        # a numpy epsilon used to be kept, so each verdict was a numpy bool and a
+        # float32 report could be written neither by write_json nor by json.dumps
+        rates = cf.RateVector(TWO_SHIFT_RATES)
+        outer = cf.check_outer(demo3, rates, epsilon)
+        layered = cf.check_layered(demo3, parse_layering("2,3,4"), rates, epsilon)
+        _, trace = cf.solve(demo3, rates, epsilon=epsilon)
+        assert trace.shifts == 2
+        for report in [outer, layered] + [step.report for step in trace.steps]:
+            assert type(report.epsilon) is float and report.epsilon == float(epsilon)
+            assert all(type(e.satisfied) is bool for e in report.entries)
+        for obj in (outer.to_json_obj(), layered.to_json_obj(), trace.to_json_obj()):
+            out = io.StringIO()
+            cf.probability.write_json(obj, out)
+            assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_epsilon_beyond_the_float_range(self, demo2):
+        # 10**400 used to be accepted and written to JSON as a 401-digit integer
+        for epsilon in (10**400, 2**1024):
+            with pytest.raises(ValueError, match="^epsilon must be finite and nonnegative"):
+                cf.check_outer(demo2, zero_rates(demo2), epsilon)
+        report = cf.check_outer(demo2, zero_rates(demo2), 10**308)
+        assert report.epsilon == 1e308 and not report.is_member
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "rates.json"
@@ -350,8 +377,8 @@ class TestOuterCapsOnce:
                 assert readers(joint)[name] == want and joint._outer_caps
                 assert readers(joint) == readers(alone)
         roots = []
-        build = cf.cli._build
-        monkeypatch.setattr(cf.cli, "_build",
+        build = cf.region._build
+        monkeypatch.setattr(cf.region, "_build",
                             lambda *args: roots.append(build(*args)) or roots[-1])
         spec.save(tmp_path / "chan.json")
         assert cf.cli.main(["floors", "--channel", str(tmp_path / "chan.json"),
@@ -609,12 +636,8 @@ class TestWindowSubsets:
         with pytest.raises(cf.EmptySubsetError, match=f"^{defined} for nonempty subsets$"):
             term(demo2, frozenset())
 
-    def test_floor_of_a_node_outside_relays(self, demo2, no_entropy):
-        with pytest.raises(cf.InvalidSubsetError, match=r"nodes \[9\] are not relays"):
-            cf.region.relay_floor(demo2, 9)
-
     @pytest.mark.parametrize("term", [
-        lambda joint: cf.region.relay_floor(joint, 2),
+        lambda joint: cf.compression_floor(joint),
         lambda joint: cf.mi_gap(joint, {2}),
         lambda joint: cf.window_gap_forms(joint, {2, 3}),
     ])
@@ -706,12 +729,13 @@ class TestLayeredVersusOuter:
         print(f"layered members also in outer region: {inside}/{total}")
         assert total > 0
 
-    @pytest.mark.parametrize("n, sample", [(2, None), (3, None), (4, None), (5, 40)])
+    @pytest.mark.parametrize("n, sample", [(2, None), (3, None), (4, None), (5, 40), (6, 8)])
     def test_every_layered_vertex_meets_the_outer_caps(self, n, sample):
         """An observed property, not a theorem of the package: layered caps are
         submodular, so a layered region lies in the outer region exactly when
         each of its greedy vertices meets every outer cap.  Every canonical
-        layering at n <= 4; a seeded sample of the 541 at 5 relays."""
+        layering at n <= 4; a seeded sample of the 541 at 5 relays and of the
+        4,683 at 6."""
         for seed in (1, 7, 301) if sample is None else (7,):
             joint = cf.build_relay_joint(cf.demo_spec(n, seed))
             nodes = sorted(joint.relays)
