@@ -18,14 +18,10 @@ from .errors import TableTooLargeError
 from .probability import MAX_TABLE_CELLS, ChannelSpec, RelaySpec
 
 
-def _dithered_row(rng: np.random.Generator, k: int) -> np.ndarray:
-    row = 0.1 + rng.random(k)
-    return row / row.sum()
-
-
-def _dithered_table(rng: np.random.Generator, cond_shape: tuple, k: int) -> np.ndarray:
-    rows = [_dithered_row(rng, k) for _ in range(int(np.prod(cond_shape, dtype=int)))]
-    return np.array(rows).reshape(cond_shape + (k,))
+def _dithered(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Rows along the last axis of `shape`, drawn in row-major order and normalized."""
+    rows = 0.1 + rng.random(shape)
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
 def demo_spec(n_relays: int, seed: int) -> ChannelSpec:
@@ -41,11 +37,11 @@ def demo_spec(n_relays: int, seed: int) -> ChannelSpec:
     d = n_relays + 2
     rng = np.random.default_rng(seed)
 
-    p_x1 = _dithered_row(rng, 2)
+    p_x1 = _dithered(rng, (2,))
     relays = []
     for node in range(2, d):
-        p_x = _dithered_row(rng, 2)
-        p_yhat = _dithered_table(rng, (2, 2), 2)
+        p_x = _dithered(rng, (2,))
+        p_yhat = _dithered(rng, (2, 2, 2))
         relays.append(
             RelaySpec(
                 node=node,
@@ -60,7 +56,7 @@ def demo_spec(n_relays: int, seed: int) -> ChannelSpec:
     n_outputs = 2 ** n_relays * 2  # y2..y_{d-1} and yd
     in_shape = (2,) * (1 + n_relays)
     out_shape = (2,) * n_relays + (2,)
-    channel = _dithered_table(rng, in_shape, n_outputs).reshape(in_shape + out_shape)
+    channel = _dithered(rng, in_shape + (n_outputs,)).reshape(in_shape + out_shape)
 
     return ChannelSpec(
         d=d,

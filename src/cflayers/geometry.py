@@ -158,7 +158,7 @@ def channel_digest(joint: JointPmf) -> str:
     """Hash of the joint table and its variable layout."""
     h = hashlib.sha256()
     h.update(repr([(v.kind, v.node, v.size) for v in joint.variables]).encode())
-    h.update(np.ascontiguousarray(joint.table).tobytes())
+    h.update(np.ascontiguousarray(joint.table))
     return h.hexdigest()
 
 

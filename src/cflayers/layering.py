@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import (
     IndexOutOfRangeError,
@@ -152,29 +151,27 @@ def enumerate_layerings(relays) -> list[Layering]:
 
     Ordered by layer count, then lexicographically on the layer bitmasks
     (bit j of a mask = j-th smallest relay).  The count is the ordered Bell
-    number of |relays|, so above MAX_ENUM_RELAYS relays this raises, before
-    it sorts (`cflayers layerings --count` passes a range of any length).
+    number of |relays|, so above MAX_ENUM_RELAYS relays this raises before
+    it lists one (`cflayers layerings --count` passes a range of any length).
     """
     check_enumerable(relays)
-    n = len(relays)
     nodes = sorted(relays)
-    out = []
-    for k in range(1, n + 1):
-        found = []
-        for assignment in product(range(k), repeat=n):
-            if len(set(assignment)) != k:
-                continue
-            masks = [0] * k
-            for j, l in enumerate(assignment):
-                masks[l] |= 1 << j
-            found.append(tuple(masks))
-        found.sort()
-        for masks in found:
-            layers = tuple(
-                frozenset(nodes[j] for j in range(n) if (mask >> j) & 1) for mask in masks
-            )
-            out.append(Layering(layers))
-    return out
+    full = (1 << len(nodes)) - 1
+    layer = [frozenset(node for j, node in enumerate(nodes) if mask >> j & 1)
+             for mask in range(full + 1)]
+
+    def partitions(rest: int, k: int):
+        # the first layer takes each proper submask of `rest` in increasing order,
+        # so the layer masks come out in lexicographic order
+        if k == 1:
+            yield (layer[rest],)
+            return
+        for mask in range(1, rest):
+            if mask & rest == mask:
+                for tail in partitions(rest & ~mask, k - 1):
+                    yield (layer[mask],) + tail
+
+    return [Layering(layers) for k in range(1, len(nodes) + 1) for layers in partitions(full, k)]
 
 
 def _check_extended_index(layering: Layering, l: int) -> None:

@@ -40,8 +40,8 @@ def fmt12(x: float) -> float:
 
 
 def _as_rate(value) -> float:
-    """A JSON number as a float; true, false and strings are no numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real number, numpy scalars included, as a float; bools and strings are no numbers."""
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 

@@ -1,5 +1,7 @@
 """Shared fixtures and random-instance helpers."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,20 @@ def sample_outer_point(joint, rng, delta=1e-3, tries=5000):
     return None
 
 
+def _monotone_closure(halfspaces, nodes):
+    """g(mask) = min over supersets T of mask of cap(T), g(0) = 0, given one cap
+    per nonempty subset; bit j of a mask is nodes[j]."""
+    n, full = len(nodes), (1 << len(nodes)) - 1
+    closure = [0.0] * (full + 1)
+    for hs in halfspaces:
+        closure[sum(1 << nodes.index(i) for i in hs.subset)] = hs.rhs
+    for mask in range(full - 1, 0, -1):  # each superset comes first
+        closure[mask] = min([closure[mask]] + [closure[mask | 1 << j]
+                                               for j in range(n) if not mask >> j & 1])
+    closure[0] = 0.0
+    return closure
+
+
 def greedy_vertices(halfspaces, relays):
     """Vertices of {x >= 0 : x(S) <= cap(S)} by Edmonds' greedy, given one cap
     per nonempty subset of a submodular function.
@@ -206,14 +222,8 @@ def greedy_vertices(halfspaces, relays):
     `enumerate_vertices` drops them; coordinates follow sorted `relays`.
     """
     nodes = sorted(relays)
-    n, full = len(nodes), (1 << len(nodes)) - 1
-    closure = [0.0] * (full + 1)
-    for hs in halfspaces:
-        closure[sum(1 << nodes.index(i) for i in hs.subset)] = hs.rhs
-    for mask in range(full - 1, 0, -1):  # each superset comes first
-        closure[mask] = min([closure[mask]] + [closure[mask | 1 << j]
-                                               for j in range(n) if not mask >> j & 1])
-    closure[0] = 0.0
+    n = len(nodes)
+    closure = _monotone_closure(halfspaces, nodes)
     points = []
 
     def walk(prefix, point):
@@ -230,6 +240,22 @@ def greedy_vertices(halfspaces, relays):
         if np.min(np.max(np.abs(np.array(found) - point), axis=1)) > cf.geometry.VERTEX_TOL:
             found.append(point)
     return [tuple(map(float, p)) for p in found]
+
+
+def order_vertices(halfspaces, relays):
+    """(order, vertex) for every full order of `relays`: the greedy vertex of
+    `greedy_vertices` along that order, none dropped; coordinates follow
+    sorted `relays`, and the order is a tuple of relay nodes."""
+    nodes = sorted(relays)
+    closure = _monotone_closure(halfspaces, nodes)
+    out = []
+    for order in permutations(range(len(nodes))):
+        point, prefix = np.zeros(len(nodes)), 0
+        for j in order:
+            point[j] = closure[prefix | 1 << j] - closure[prefix]
+            prefix |= 1 << j
+        out.append((tuple(nodes[j] for j in order), tuple(map(float, point))))
+    return out
 
 
 def usable_demo_channels(n_channels, relay_of_trial, first_seed=201, min_cap=3e-3):

@@ -453,7 +453,7 @@ class TestDemo:
         def refuse(*args):
             raise AssertionError("a table was drawn")
 
-        monkeypatch.setattr(cf.demo, "_dithered_row", refuse)
+        monkeypatch.setattr(cf.demo, "_dithered", refuse)
         out = tmp_path / "big.json"
         assert main(["demo", "--relays", str(relays), "--seed", "1", "--out", str(out)]) == 2
         assert not out.exists()

@@ -95,6 +95,18 @@ class TestEnumerate:
         depths = [lay.depth for lay in out]
         assert depths == sorted(depths)
 
+    @pytest.mark.parametrize("n, count", [(4, 75), (5, 541), (6, 4683)])
+    def test_order_rule(self, n, count):
+        """The documented order: by depth, then lexicographic on the layer
+        bitmasks; every layering valid and each listed once."""
+        relays = range(2, 2 + n)
+        out = enumerate_layerings(relays)
+        keys = [(lay.depth, tuple(sum(1 << (i - 2) for i in layer) for layer in lay.layers))
+                for lay in out]
+        assert keys == sorted(set(keys))
+        assert len(out) == count
+        assert all(validate_layering(lay, relays) == [] for lay in out)
+
     def test_cap(self):
         with pytest.raises(cf.TooManyRelaysError):
             enumerate_layerings(range(2, 10))

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from cflayers.region import subsets_by_mask
 
 from _factor_oracle import FactorOracle
 from _oracle import brute_force_joint, cond_entropy, entropy, variable_labels
-from conftest import (greedy_vertices, random_layering, random_spec, random_subset,
-                      sample_outer_point)
+from conftest import (greedy_vertices, order_vertices, random_layering, random_spec,
+                      random_subset, sample_outer_point)
 from test_probability import unit_spec
 from test_solver import TWO_SHIFT_RATES
 
@@ -97,12 +98,21 @@ class TestRateVector:
         with pytest.raises(cf.InvalidRatesError, match="finite"):
             cf.check_layered(demo2, parse_layering("2|3"), rates)
 
+    @pytest.mark.parametrize("rate", [np.float32(1e-3), np.float64(1e-3), np.int64(0)])
+    def test_numpy_scalar_rates(self, demo2, rate):
+        rates = {2: rate, 3: 0.001}
+        report = cf.check_outer(demo2, cf.RateVector(rates))
+        plain = cf.check_outer(demo2, cf.RateVector({i: float(r) for i, r in rates.items()}))
+        assert report == plain
+        assert type(cf.RateVector(rates).of(2)) is float
+
     def test_largest_finite_total_accepted(self, demo2):
         report = cf.check_outer(demo2, cf.RateVector({2: 1e308, 3: 7e307}))
         assert report.entry({2, 3}).rate_sum == 1e308 + 7e307
         assert not report.is_member
 
-    @pytest.mark.parametrize("bad", [True, False, "0.001", None, 10**400])
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "0.001", Decimal("0.001"), None,
+                                     10**400])
     def test_non_number_rejected(self, bad):
         with pytest.raises(cf.InvalidRatesError, match="not a number|too large"):
             cf.RateVector({2: bad, 3: 0.001})
@@ -749,6 +759,34 @@ class TestLayeredVersusOuter:
                 vertices = np.array(greedy_vertices(cf.h_rep(joint, lay), nodes))
                 for indicator, cap in outer:
                     assert (vertices @ indicator).max() <= cap + 1e-12, (lay, indicator)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_outer_vertex_has_a_witness_layering(self, n):
+        """An observed property, not a theorem of the package: the greedy
+        vertex of the outer caps along a full order p1, ..., pn lies in the
+        closed region of some coarsening of the reversed order, the layering
+        pn|...|p1 with neighbours merged into one layer (2^(n-1) candidates)."""
+
+        def coarsenings(order):  # bit j of `cuts` ends a layer after order[j]
+            for cuts in range(1 << (n - 1)):
+                ends = [0] + [j + 1 for j in range(n - 1) if cuts >> j & 1] + [n]
+                yield tuple(frozenset(order[a:b]) for a, b in zip(ends, ends[1:]))
+
+        for seed in (1, 7, 301):
+            joint = cf.build_relay_joint(cf.demo_spec(n, seed))
+            nodes = sorted(joint.relays)
+            indicators = np.array([joint_indicator(nodes, s) for s in subsets_by_mask(nodes)])
+            caps = {}
+
+            def inside(point, layers):
+                if layers not in caps:
+                    caps[layers] = np.array([cap for _, cap in cf.region.region_caps(
+                        joint, make_layering(layers))])
+                return bool((indicators @ point <= caps[layers] + 1e-12).all())
+
+            for order, vertex in order_vertices(cf.outer_h_rep(joint), nodes):
+                point = np.array(vertex)
+                assert any(inside(point, layers) for layers in coarsenings(order[::-1])), order
 
 
 class TestFactorOracle:
