@@ -14,6 +14,9 @@ epsilon and "violates" it otherwise; the two outcomes partition all cases.
 The per-relay compression floor I(Yhi; Yi | Xi) is the rate below which
 relay i cannot find a jointly typical compression codeword, so the usable
 window for subset S is [sum of floors, boundary rhs).
+
+A membership report keeps its caps and rate sums as tuples, and builds its
+`SubsetConstraint` entries only when they are read, as printing does.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 
 from .errors import EmptySubsetError, InvalidRatesError, InvalidSubsetError
@@ -84,7 +88,18 @@ class RateVector:
         return self._rates[node]
 
     def subset_sum(self, nodes) -> float:
-        return sum(self._rates[i] for i in nodes)
+        """The rates of `nodes` added left to right in ascending node order,
+        from 0, so the bits depend neither on the order `nodes` iterates in
+        nor on the Python version (3.12's `sum` compensates), and -0.0 rates
+        add up to 0.0."""
+        nodes = list(nodes)
+        missing = {i for i in nodes if i not in self._rates}
+        if missing:
+            raise InvalidSubsetError(f"nodes {sorted(missing)} have no rate")
+        total = 0
+        for i in sorted(nodes):
+            total += self._rates[i]
+        return total
 
     def check_for(self, relays) -> None:
         relays = frozenset(relays)
@@ -250,30 +265,53 @@ class SubsetConstraint:
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """One entry per nonempty relay subset, in bitmask order."""
+    """One constraint per nonempty relay subset, in bitmask order: `caps`
+    holds the `(subset, cap)` pairs of `region_caps` and `rate_sums` the
+    subsets' rate sums.  A subset is satisfied when its cap minus its rate
+    sum exceeds `epsilon`.  `verdicts` and `entries` are computed once, on
+    first read."""
 
     kind: str  # "layered" or "outer"
     epsilon: float
-    entries: tuple[SubsetConstraint, ...]
+    caps: tuple[tuple[frozenset[int], float], ...]
+    rate_sums: tuple[float, ...]
+
+    @cached_property
+    def verdicts(self) -> tuple[bool, ...]:
+        eps = self.epsilon
+        return tuple((cap - r) > eps for (_, cap), r in zip(self.caps, self.rate_sums))
+
+    @cached_property
+    def entries(self) -> tuple[SubsetConstraint, ...]:
+        return tuple(
+            SubsetConstraint(s, cap, r, ok)
+            for (s, cap), r, ok in zip(self.caps, self.rate_sums, self.verdicts)
+        )
 
     @property
     def is_member(self) -> bool:
-        return all(e.satisfied for e in self.entries)
+        return all(self.verdicts)
 
     @property
     def violators(self) -> tuple[frozenset[int], ...]:
-        return tuple(e.subset for e in self.entries if not e.satisfied)
+        return tuple(s for (s, _), ok in zip(self.caps, self.verdicts) if not ok)
 
     @property
     def min_slack(self) -> float:
-        return min(e.slack for e in self.entries)
+        return min(cap - r for (_, cap), r in zip(self.caps, self.rate_sums))
+
+    def _index(self, subset) -> int:
+        """Position of `subset` in bitmask order; KeyError when the report has none."""
+        subset = frozenset(subset)
+        nodes = sorted(self.caps[-1][0]) if self.caps else []  # the last subset is all relays
+        k = sum(1 << j for j, i in enumerate(nodes) if i in subset) - 1
+        if k < 0 or self.caps[k][0] != subset:
+            raise KeyError(f"no entry for subset {sorted(subset)}")
+        return k
 
     def entry(self, subset) -> SubsetConstraint:
-        subset = frozenset(subset)
-        for e in self.entries:
-            if e.subset == subset:
-                return e
-        raise KeyError(f"no entry for subset {sorted(subset)}")
+        k = self._index(subset)
+        return SubsetConstraint(*self.caps[k], self.rate_sums[k], self.verdicts[k])
 
     def to_json_obj(self) -> dict:
         return {
@@ -282,6 +320,17 @@ class ConstraintReport:
             "member": self.is_member,
             "subsets": [e.to_json_obj() for e in self.entries],
         }
+
+
+def _rate_sums(rates: RateVector, relays) -> tuple[float, ...]:
+    """The rate sum of every nonempty relay subset, in bitmask order, in one
+    pass: a mask's sum is the sum without its highest relay plus that relay's
+    rate, from 0, so each equals `rates.subset_sum` bit for bit."""
+    sums = [0]
+    for i in sorted(relays):
+        r = rates.of(i)
+        sums += [t + r for t in sums]
+    return tuple(sums[1:])
 
 
 def _build_report(joint, layering, rates, epsilon) -> ConstraintReport:
@@ -295,12 +344,9 @@ def _build_report(joint, layering, rates, epsilon) -> ConstraintReport:
         value = math.inf
     if isinstance(epsilon, bool) or not 0.0 <= value < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
-    entries = []
-    for s, rhs in _caps(joint, layering):  # the layering is checked above
-        rate_sum = rates.subset_sum(s)
-        entries.append(SubsetConstraint(s, rhs, rate_sum, satisfied=(rhs - rate_sum) > value))
     kind = "outer" if layering is None else "layered"
-    return ConstraintReport(kind=kind, epsilon=value, entries=tuple(entries))
+    caps = _caps(joint, layering)  # the layering is checked above
+    return ConstraintReport(kind, value, caps, _rate_sums(rates, joint.relay_set))
 
 
 def check_layered(
@@ -332,13 +378,13 @@ def pick_violator(report: ConstraintReport):
     relays, 251 of 390 at 4 and 322 of 360 at 5 (the targets are in the
     `solver` module docstring).  Returns (None, False) for a member.
     """
-    violating = [e for e in report.entries if not e.satisfied]
+    violating = report.violators
     if not violating:
         return None, False
-    union = frozenset().union(*(e.subset for e in violating))
-    if not report.entry(union).satisfied:
+    union = frozenset().union(*violating)
+    if not report.verdicts[report._index(union)]:
         return union, False
-    return max(violating, key=lambda e: len(e.subset)).subset, True
+    return max(violating, key=len), True
 
 
 # -- floors, source rate, and the window identities -------------------------------

@@ -15,6 +15,9 @@ layering's constraints, so the core only grows and the iteration stops
 once it is all of R.  For any target strictly inside the outer region the
 iteration terminates; outside it the walk stops once it provably never
 accepts, and `max_iter` guards the rest.
+
+Each step keeps its `Layering` and its report.  The pick and `verify_core`
+read the report's verdicts, so a step builds no `SubsetConstraint` entries.
 """
 
 from __future__ import annotations
@@ -199,5 +202,5 @@ def verify_core(
         raise InvalidSubsetError(f"core nodes {sorted(foreign)} are not relays")
     report = check_layered(joint, layering, rates, epsilon)
     # relay bitmask order restricted to the core's subsets is the core's own
-    violations = tuple(e.subset for e in report.entries if e.subset <= core and not e.satisfied)
+    violations = tuple(s for s in report.violators if s <= core)
     return CoreReport(core=core, violations=violations)

@@ -16,7 +16,10 @@ shifts on most channels.  On `demo_spec(n, s)` for n = 2..5, `solve` also
 runs, in JSON and text, on two near-vertex targets (1 - delta) * v + delta *
 (mean of the vertices), delta = 1e-2, for the last two outer vertices v that
 `conftest.greedy_vertices` lists: traces of 1 to 7 shifts, with fallback
-picks in 11 of the 24.  That is 369 outputs in all.
+picks in 11 of the 24.  On `demo_spec(n, s)` for n = 6, 7, `check` and
+`solve` also run, in JSON and text, on one target of distinct rates: 0.97 of
+the outer boundary along a seeded Dirichlet direction, so that the order in
+which rates are added can show.  That is 393 outputs in all.
 
 Each output is one `cli.main` call; a line gives its name, exit code, the
 sha256 of its stdout and its stderr.  With `--against`, the same calls run
@@ -63,6 +66,8 @@ def make_cases(inputs: Path) -> list[tuple[str, list[str]]]:
             cases += _channel_cases(cf, spec, tag, inputs)
             if 2 <= n <= 5:
                 cases += _vertex_cases(cf, spec, tag, inputs)
+            if n >= 6:
+                cases += _dirichlet_cases(cf, spec, tag, inputs, np.random.default_rng([n, s]))
             cases.append((f"demo {tag}", ["demo", "--relays", str(n), "--seed", str(s)]))
             channel = ["--channel", str(inputs / f"{tag}.json")]
             if n <= 5:
@@ -114,6 +119,22 @@ def _vertex_cases(cf, spec, tag: str, inputs: Path) -> list[tuple[str, list[str]
                     "--format", fmt])
                   for fmt in ("json", "text")]
     return cases
+
+
+def _dirichlet_cases(cf, spec, tag: str, inputs: Path, rng) -> list[tuple[str, list[str]]]:
+    """`check` and `solve` in JSON and text on one target of distinct rates:
+    0.97 of the outer boundary along a Dirichlet direction drawn from `rng`,
+    after writing its rate file to `inputs`."""
+    nodes = spec.relay_nodes
+    direction = dict(zip(nodes, rng.dirichlet([1.0] * len(nodes))))
+    caps = cf.region.region_caps(cf.build_relay_joint(spec), None)
+    reach = min(cap / sum(direction[i] for i in sorted(s)) for s, cap in caps)
+    rates = inputs / f"{tag}_dirichlet_rates.json"
+    rates.write_text(json.dumps({"rates": {str(i): 0.97 * reach * float(direction[i])
+                                           for i in nodes}}))
+    tail = ["--channel", str(inputs / f"{tag}.json"), "--rates", str(rates)]
+    return [(f"{command}-dirichlet {tag} {fmt}", [command, *tail, "--format", fmt])
+            for command in ("check", "solve") for fmt in ("json", "text")]
 
 
 def _rates(cf, spec) -> dict:

@@ -75,6 +75,15 @@ class TestCheck:
         assert main(["check", "--channel", demo2_file, "--rates", rates]) == 0
         assert "member: yes" in capsys.readouterr().out
 
+    def test_negative_zero_rate_sums_to_zero(self, demo2_file, tmp_path, capsys):
+        rates = tmp_path / "rates.json"
+        rates.write_text('{"rates": {"2": -0.0, "3": 0.0}}')
+        argv = ["check", "--channel", demo2_file, "--rates", str(rates), "--format", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert [e["rate_sum"] for e in json.loads(out)["subsets"]] == [0.0, 0.0, 0.0]
+        assert '"rate_sum": 0.0' in out and "-0.0" not in out
+
     def test_violator_exit_one_and_listed(self, demo2_file, tmp_path, capsys):
         rates = write_rates(tmp_path, {2: 5.0, 3: 0.0})
         code = main(

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import sys
 from decimal import Decimal
 
@@ -77,6 +78,28 @@ class TestRateVector:
         rv = cf.RateVector({2: 0.25, 3: 0.5})
         assert rv.subset_sum({2, 3}) == pytest.approx(0.75)
         assert rv.subset_sum(frozenset()) == 0.0
+
+    def test_subset_sum_adds_in_ascending_node_order(self):
+        # the frozenset iterates 8, 4, 6, and `sum` over it gave 0.7
+        rv = cf.RateVector({4: 0.1, 6: 0.2, 8: 0.4})
+        want = ((0 + 0.1) + 0.2) + 0.4
+        assert want == 0.7000000000000001
+        for nodes in (frozenset({4, 6, 8}), [4, 6, 8], [8, 6, 4]):
+            assert rv.subset_sum(nodes) == want
+
+    def test_subset_sum_is_uncompensated(self):
+        # Python 3.12's `sum` compensates and gives 0.6 here
+        rv = cf.RateVector({2: 0.1, 3: 0.2, 4: 0.3, 5: 1e-17})
+        assert rv.subset_sum({2, 3, 4, 5}) == ((0.1 + 0.2) + 0.3) + 1e-17 == 0.6000000000000001
+
+    def test_subset_sum_of_negative_zero_is_zero(self):
+        total = cf.RateVector({2: -0.0, 3: -0.0}).subset_sum({2, 3})
+        assert total == 0.0 and str(total) == "0.0"
+
+    @pytest.mark.parametrize("nodes, named", [({99}, "[99]"), ([2, 9, 99], "[9, 99]")])
+    def test_subset_sum_of_foreign_nodes(self, nodes, named):
+        with pytest.raises(cf.InvalidSubsetError, match=re.escape(f"nodes {named} have no rate")):
+            cf.RateVector({2: 0.25, 3: 0.5}).subset_sum(nodes)
 
     def test_negative_rejected(self, demo2):
         with pytest.raises(cf.InvalidRatesError):
@@ -532,23 +555,16 @@ class TestLargestViolator:
     def test_fallback_when_union_satisfies(self):
         # fabricated numerical edge: singletons violate but their union does
         # not, so the pick falls back to max cardinality / smallest mask
-        from cflayers.region import ConstraintReport, SubsetConstraint, pick_violator
+        from cflayers.region import ConstraintReport, pick_violator
 
-        def entry(subset, slack, ok):
-            return SubsetConstraint(
-                subset=frozenset(subset), rhs=slack, rate_sum=0.0, satisfied=ok
-            )
-
-        # entries in bitmask order, as every report holds them
+        # caps and rate sums in bitmask order, as every report holds them
         report = ConstraintReport(
             kind="layered",
             epsilon=1e-9,
-            entries=(
-                entry({2}, -0.1, False),
-                entry({3}, -0.1, False),
-                entry({2, 3}, 0.2, True),
-            ),
+            caps=((frozenset({2}), -0.1), (frozenset({3}), -0.1), (frozenset({2, 3}), 0.2)),
+            rate_sums=(0.0, 0.0, 0.0),
         )
+        assert report.violators == (frozenset({2}), frozenset({3}))
         picked, degenerate = pick_violator(report)
         assert degenerate
         assert picked == frozenset({2})  # both violators have size 1; lowest mask
@@ -567,6 +583,71 @@ class TestLargestViolator:
         u, degenerate = cf.region.pick_violator(report)
         assert u == {2, 3} and not degenerate
         assert not report.entry(u).satisfied
+
+
+class TestReportTuples:
+    """A report keeps the caps of `region_caps` and one rate sum per subset, and
+    builds its `SubsetConstraint` entries only when they are read."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_entries_match_caps_and_subset_sums(self, n):
+        joint = cf.build_relay_joint(cf.demo_spec(n, 7))
+        nodes = sorted(joint.relays)
+        rng = np.random.default_rng(n)
+        caps = cf.region.region_caps(joint, None)
+        # distinct rates, near the singleton caps so that some subsets violate
+        rates = cf.RateVector({i: float(rng.uniform(0.5, 1.2) * cap)
+                               for (s, cap) in caps for i in s if len(s) == 1})
+        layerings = cf.enumerate_layerings(nodes)
+        if n == 5:
+            layerings = [layerings[k] for k in sorted(rng.choice(len(layerings), 40, replace=False))]
+        verdicts = set()
+        for layering in [None, *layerings]:
+            report = (cf.check_outer(joint, rates) if layering is None
+                      else cf.check_layered(joint, layering, rates))
+            want = [cf.region.SubsetConstraint(
+                        s, cap, rates.subset_sum(s),
+                        cap - rates.subset_sum(s) > cf.region.DEFAULT_EPSILON)
+                    for s, cap in cf.region.region_caps(joint, layering)]
+            assert len(report.entries) == len(want) == 2**n - 1
+            for got, e in zip(report.entries, want):
+                assert (got.subset, got.rhs, got.rate_sum, got.satisfied) == (
+                    e.subset, e.rhs, e.rate_sum, e.satisfied)
+                assert type(got.rate_sum) is float and type(got.satisfied) is bool
+                assert report.entry(e.subset) == got
+            assert report.violators == tuple(e.subset for e in want if not e.satisfied)
+            assert report.min_slack == min(e.slack for e in want)
+            verdicts.update(e.satisfied for e in want)
+        assert verdicts == {True, False}
+
+    def test_two_shift_solve_builds_no_subset_constraint(self, monkeypatch):
+        joint = cf.build_relay_joint(cf.demo_spec(5, 7))
+        rates = cf.RateVector({2: 0.000297, 3: 0.0005072, 4: 1.783e-05, 5: 0.0007567,
+                               6: 6.239e-07})
+        built = []
+        init = cf.region.SubsetConstraint.__init__
+        monkeypatch.setattr(cf.region.SubsetConstraint, "__init__",
+                            lambda self, *args, **kwargs: built.append(args)
+                            or init(self, *args, **kwargs))
+        cf.check_outer(joint, rates)
+        layering, trace = cf.solve(joint, rates)
+        assert trace.shifts == 2 and layering == parse_layering("4,6|2,5|3")
+        assert json.dumps(trace.to_json_obj())
+        assert built == []
+        assert len(trace.steps[0].report.entries) == 31 == len(built)  # counted when read
+
+    def test_entry_of_a_non_subset_raises(self, demo2):
+        report = cf.check_outer(demo2, zero_rates(demo2))
+        for subset in ({9}, {2, 9}, set()):
+            with pytest.raises(KeyError, match=re.escape(f"no entry for subset {sorted(subset)}")):
+                report.entry(subset)
+
+    def test_reports_compare_and_hash_by_value(self, demo3):
+        rates = cf.RateVector(TWO_SHIFT_RATES)
+        first, second = cf.check_outer(demo3, rates), cf.check_outer(demo3, rates)
+        assert len(first.entries) == 7  # a cached read changes neither equality nor hash
+        assert first == second and hash(first) == hash(second)
+        assert first != cf.check_outer(demo3, rates, epsilon=1e-3)
 
 
 class TestFloorsAndSourceRate:
