@@ -26,6 +26,7 @@ from .probability import JointPmf, write_json
 from .region import fmt12, region_caps
 
 VERTEX_TOL = 1e-9
+COORD_TOL = 1e-12  # coordinates this close are one value, solved from different planes
 MAX_VERTEX_DIM = 3
 
 
@@ -62,8 +63,12 @@ def enumerate_vertices(halfspaces, relays) -> list[tuple[float, ...]]:
 
     Brute force: solve every choice of `dim` hyperplanes drawn from the
     constraint planes and the coordinate planes, keep solutions satisfying
-    all closed constraints within tolerance, deduplicate, and sort by the
-    coordinates as printed (`fmt12`), so rounding noise cannot reorder them.
+    all closed constraints within tolerance, and deduplicate.  Along each
+    axis, coordinates within COORD_TOL of the least of their run, in
+    ascending order, are given that least value (`_snap`): one coordinate
+    shared by several vertices is solved from different planes and differs
+    in its last bits.  The vertices are sorted by their coordinates as
+    printed (`fmt12`), so rounding noise cannot reorder them.
     """
     nodes = sorted(relays)
     dim = len(nodes)
@@ -92,11 +97,22 @@ def enumerate_vertices(halfspaces, relays) -> list[tuple[float, ...]]:
             continue
         if np.any(a_all @ point > b_all + VERTEX_TOL):
             continue
-        point = np.where(np.abs(point) < 1e-12, 0.0, point)
+        point = np.where(np.abs(point) < COORD_TOL, 0.0, point)
         if not any(np.max(np.abs(point - q)) <= VERTEX_TOL for q in found):
             found.append(point)
-    points = [tuple(float(v) for v in p) for p in found]
+    points = list(zip(*(_snap([float(v) for v in axis]) for axis in zip(*found))))
     return sorted(points, key=lambda p: tuple(map(fmt12, p)))
+
+
+def _snap(values: list[float]) -> list[float]:
+    """`values`, each replaced by the least value of its run: in ascending
+    order, a value within COORD_TOL of the run's least value joins the run."""
+    least, first = {}, None
+    for v in sorted(values):
+        if first is None or v - first > COORD_TOL:
+            first = v
+        least[v] = first
+    return [least[v] for v in values]
 
 
 @dataclass(frozen=True)

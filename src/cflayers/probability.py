@@ -18,10 +18,13 @@ computed quantity and are marginalized away at construction.
 All entropies are in bits.  Queries are pure and cached, and no joint changes
 once built, so joints can be shared freely across threads.  A joint over more
 than the relay axes keeps a 2^(2n+1)-cell relay table (n binary relays), made
-once by `_build` or the constructor, and sums every relay query from it.
-No other joint is made over part of a joint's variables: the window and
-floor tables of `cflayers floors` are summed by `JointPmf._walk`, which makes
-no joint for them.
+once by `_build` or the constructor.  Every rate cap is a difference of terms
+H(X_A, Yh_B, Yd) with B in A, the cap family: the first query of any of them
+stores all 3^n in the memo, from the relay table in one numpy pass
+(`JointPmf._fill`).  Any other query on the relay axes is summed from the
+relay table.  No other joint is made over part of a joint's variables: the
+window and floor tables of `cflayers floors` are summed by `JointPmf._walk`,
+which makes no joint for them.
 """
 
 from __future__ import annotations
@@ -438,8 +441,9 @@ def validate_spec(spec: ChannelSpec) -> list[ValidationIssue]:
 def _sum_table(table: np.ndarray, bits: tuple, mask: int) -> np.ndarray:
     """`table`, whose axes carry the memo-key bits `bits`, summed over every
     axis whose bit is outside `mask`; `table` itself when `mask` keeps every
-    axis.  Every marginal, entropy and walked table is summed here, and so
-    is the relay table the constructor keeps.
+    axis.  Every marginal, walked table and entropy outside the cap family
+    (`JointPmf._fill`) is summed here, and so is the relay table the
+    constructor keeps.
 
     A view of the table orders its axes as two blocks, the kept axes and
     the dropped ones, so that the sum runs along one contiguous axis: the
@@ -487,6 +491,101 @@ def _sum_table(table: np.ndarray, bits: tuple, mask: int) -> np.ndarray:
         else:  # part of one row
             out[at // dropped] += slab.sum()
     return out.reshape(shape)
+
+
+def _add_up(parts, out=None) -> np.ndarray:
+    """The arrays `parts`, a list or an array's slices along its first axis,
+    added in order into `out`, or a new array: each cell gets the same
+    additions in the same order whatever array it is a cell of, so a slab
+    adds up to the bits of the whole."""
+    if out is None:
+        out = np.empty(np.shape(parts[0]))
+    if len(parts) == 1:
+        out[...] = parts[0]
+        return out
+    np.add(parts[0], parts[1], out=out)
+    for part in parts[2:]:
+        out += part
+    return out
+
+
+def _states(block: tuple) -> list[int]:
+    """The cells of each state of a relay whose (X, Yh) sizes are `block`, Yh
+    0 when the table has none: (X, Yh) kept, then X kept when there is a Yh,
+    then neither."""
+    x, yh = block
+    return [x * yh, x, 1] if yh else [x, 1]
+
+
+def _grow_axis(table: np.ndarray, axis: int, block: tuple) -> np.ndarray:
+    """`table` with its `axis`, the cells of a relay whose (X, Yh) sizes are
+    `block`, followed by the cells of the relay's other states: X's cells
+    with Yh summed away, when it has a Yh, and then the one cell with both
+    summed away.  X's cell j with Yh summed away adds the block's cells
+    j*yh, ..., j*yh + yh - 1 in order; the last cell adds X's cells in
+    order."""
+    (x, yh), shape = block, table.shape
+    cells = table.reshape(math.prod(shape[:axis]), shape[axis], -1)  # (before, block, after)
+    grown = np.empty((len(cells), sum(_states(block)), cells.shape[2]))
+    grown[:, :shape[axis]] = cells
+    if yh:
+        rows = cells.reshape(len(cells), x, yh, -1)
+        _add_up([rows[:, :, k] for k in range(yh)], grown[:, x * yh:x * yh + x])
+    _add_up([grown[:, k] for k in range(-1 - x, -1)], grown[:, -1])
+    return grown.reshape(*shape[:axis], -1, *shape[axis + 1:])
+
+
+def _grow(table: np.ndarray, blocks: list) -> np.ndarray:
+    """`table`, with each relay's axis grown by `_grow_axis`, the last relay
+    first."""
+    for axis in range(len(blocks), 0, -1):
+        table = _grow_axis(table, axis, blocks[axis - 1])
+    return table
+
+
+def _reduce(sums: np.ndarray, axis: int, block: tuple) -> np.ndarray:
+    """`sums` with its `axis`, a relay's cells as `_grow` lays them out, added
+    up per state: one entry per state, in the order of `_states`."""
+    shape = sums.shape
+    cells = sums.reshape(math.prod(shape[:axis]), shape[axis], -1)  # (before, relay, after)
+    out = np.empty((len(cells), len(_states(block)), cells.shape[2]))
+    start = 0
+    for state, width in enumerate(_states(block)):
+        _add_up([cells[:, k] for k in range(start, start + width)], out[:, state])
+        start += width
+    return out.reshape(*shape[:axis], -1, *shape[axis + 1:])
+
+
+def _family_sums(table: np.ndarray, blocks: list) -> np.ndarray:
+    """The sum of p log2 p over the cells above ZERO_MASS of every marginal
+    of `table` over (X_A, Yh_B, Yd) with B in A: the cap family.  `table` has
+    Yd first and then one axis per relay, the cells of its (X, Yh) block;
+    `blocks` holds each relay's (X, Yh) sizes, Yh 0 when the table has none.
+    The result has one axis per relay, one entry per state of `_states`.
+
+    The table is grown by `_grow`, so that every family marginal is a block
+    of it; p log2 p is formed once per cell, and then summed over Yd and over
+    each relay's states, the first relay first (`_reduce`).  When the grown
+    table would hold more than SUM_SLAB_CELLS cells, it is split on the last
+    relay, the innermost axis, which `_grow` grows first: `_grow_axis` grows
+    that axis alone, each of its grown cells is a slab, handled as a table
+    of one relay fewer, and the slabs' results are summed per state.
+    Every sum adds arrays in order (`_add_up`), so the split gives the bits
+    of the unsplit table."""
+    grown = math.prod(sum(_states(block)) for block in blocks) * len(table)
+    if blocks and grown > SUM_SLAB_CELLS:
+        block, rest = blocks[-1], blocks[:-1]
+        slabs = np.moveaxis(_grow_axis(table, len(blocks), block), -1, 0)
+        sums = np.stack([_family_sums(slab, rest) for slab in slabs], -1)
+        return _reduce(sums, len(rest), block)
+    table = _grow(table, blocks)
+    terms = np.where(table > ZERO_MASS, table, 1.0)  # p log2 p in place: 0 at or below ZERO_MASS
+    np.log2(terms, out=terms)
+    terms *= table
+    sums = _add_up(terms)
+    for axis, block in enumerate(blocks):
+        sums = _reduce(sums, axis, block)
+    return sums
 
 
 _KINDS = ("x", "y", "yhat")  # the order of a node's variables
@@ -560,11 +659,14 @@ class JointPmf:
     `build_relay_joint` from `_build`, its own table summed by the constructor.
     The part is in its memo-key space and shares its memo, so an entropy
     computed on either answers both, and so do the outer region's caps that
-    `region.region_caps` keeps beside the memo.  A new entropy is summed from
-    the relay table when it holds the variables, whichever member asks, so
-    each relay query sums the 2^(2n+1)-cell table, not the full one.  No other
-    part is made: the tables that `cflayers floors` walks are summed by `_walk`.
-    Tables are checked where they enter, by the constructor or `_build`.
+    `region.region_caps` keeps beside the memo.  The first query of any
+    entry of the cap family, H(X_A, Yh_B, Yd) for relay sets B in A, fills
+    all 3^n of them from the relay table in one pass (`_fill`), whichever
+    member or query asks; no entry is computed another way.  Any other new
+    entropy is summed from the relay table when it holds the variables, so
+    no relay query sums the full table.  No other part is made: the tables
+    that `cflayers floors` walks are summed by `_walk`.  Tables are checked
+    where they enter, by the constructor or `_build`.
     """
 
     def __init__(self, variables: tuple[Variable, ...], table: np.ndarray):
@@ -671,12 +773,17 @@ class JointPmf:
         return self._mask(self._var(kind, node) for node in nodes)
 
     def _entropy(self, mask: int, variables=None, at=None) -> float:
-        """H of the variables in `mask`: the memo's, else summed by `_sum`
-        from `at` or this joint, or by `marginal` for the generic queries that
-        give `variables`."""
+        """H of the variables in `mask`: the memo's; else, for a mask of the
+        cap family, the one the relay table's `_fill` stores; else summed by
+        `_sum` from `at` or this joint, or by `marginal` for the generic
+        queries that give `variables`."""
         memo = self._memo
         cached = memo.get(mask)
         if cached is None:
+            relay = self.relay_joint()
+            if relay._in_family(mask):
+                relay._fill()
+                return memo[mask]
             marg = (self._sum(mask, at) if variables is None
                     else self._source(mask).marginal(variables)).ravel()
             probs = marg if marg.min() > ZERO_MASS else marg[marg > ZERO_MASS]  # copies only to drop
@@ -703,6 +810,40 @@ class JointPmf:
         source = self._source(mask)
         table, bits = at if at is not None and source is self else (source._table, source._bits)
         return _sum_table(table, bits, mask)
+
+    def _blocks(self) -> list[tuple]:
+        """Per relay of this relay table, in order: the memo bits of X_i and
+        Yh_i and their sizes, Yh_i's bit and size 0 when the table has none."""
+        axis, bits, variables = self._axis, self._bits, self._variables
+        blocks = []
+        for i in self._relays:
+            x, yh = axis["x", i], axis.get(("yhat", i))
+            blocks.append((bits[x], variables[x].size) + (
+                (0, 0) if yh is None else (bits[yh], variables[yh].size)))
+        return blocks
+
+    def _in_family(self, mask: int) -> bool:
+        """Whether `mask`, on this relay table, is H(X_A, Yh_B, Yd) for relay
+        sets B in A: an entry of the cap family that `_fill` stores."""
+        bits = self._bits
+        if not mask & bits[-1] or mask & ~sum(bits):  # without Yd, or off the table
+            return False
+        return all(mask & x or not mask & yh for x, _, yh, _ in self._blocks())
+
+    def _fill(self) -> None:
+        """Store in the memo every entry of the cap family, H(X_A, Yh_B, Yd)
+        for relay sets B in A, 3^n of them, summed from this relay table in
+        one pass (`_family_sums`), each clamped at 0 as `_entropy` clamps.
+        An entry already stored, by a concurrent fill, stays."""
+        keys, sizes = np.array(self._bits[-1]), []  # an entry's mask: Yd's bit and its states'
+        for x, x_size, yh, yh_size in self._blocks():
+            keys = np.add.outer(keys, [x | yh, x, 0] if yh else [x, 0])
+            sizes.append((x_size, yh_size))
+        shape = [x * (yh or 1) for x, yh in sizes] + [self._variables[-1].size]
+        sums = _family_sums(np.moveaxis(self._table.reshape(shape), -1, 0), sizes)
+        memo = self._memo
+        for key, total in zip(keys.ravel().tolist(), sums.ravel().tolist()):
+            memo.setdefault(key, max(0.0, -total))
 
     def relay_joint(self) -> JointPmf:
         """The joint of (Xi, Yhi per relay, Yd), all that rate caps and shifts
@@ -910,7 +1051,7 @@ def build_joint(spec: ChannelSpec) -> JointPmf:
     The joint's `relay_joint()` is the table of `build_relay_joint`:
     2^(2n+1) cells at n binary relays, against 2^(3n+2), contracted from the
     spec's factors, not summed from the full table.  Every rate cap term and
-    shift decision of the joint is summed from it, bit for bit as on
+    shift decision of the joint is computed from it, bit for bit as on
     `build_relay_joint`.
     """
     return _build(spec, lambda v: True)

@@ -333,27 +333,35 @@ def _rate_sums(rates: RateVector, relays) -> tuple[float, ...]:
     return tuple(sums[1:])
 
 
-def _build_report(joint, layering, rates, epsilon) -> ConstraintReport:
-    # every input is checked, layering first, before any cap is computed
-    if layering is not None:
-        require_valid_layering(joint, layering)
-    rates.check_for(joint.relay_set)
-    try:  # a float, so that no verdict is a numpy bool; 10**400 overflows
+def _as_epsilon(epsilon) -> float:
+    """`epsilon` as a float, so that no verdict is a numpy bool; ValueError
+    unless it is a finite, nonnegative number."""
+    try:  # 10**400 overflows
         value = float(epsilon) if isinstance(epsilon, Real) else math.nan
     except OverflowError:
         value = math.inf
     if isinstance(epsilon, bool) or not 0.0 <= value < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    return value
+
+
+def _build_report(joint, layering, rates, epsilon: float) -> ConstraintReport:
+    """The report on checked inputs: a layering that partitions the joint's
+    relays or None, rates that `RateVector.check_for` passed, and an
+    epsilon that `_as_epsilon` gave."""
     kind = "outer" if layering is None else "layered"
-    caps = _caps(joint, layering)  # the layering is checked above
-    return ConstraintReport(kind, value, caps, _rate_sums(rates, joint.relay_set))
+    caps = _caps(joint, layering)
+    return ConstraintReport(kind, epsilon, caps, _rate_sums(rates, joint.relay_set))
 
 
 def check_layered(
     joint: JointPmf, layering: Layering, rates: RateVector, epsilon: float = DEFAULT_EPSILON
 ) -> ConstraintReport:
     """Membership report for the region of one layering."""
-    return _build_report(joint, layering, rates, epsilon)
+    # every input is checked, layering first, before any cap is computed
+    require_valid_layering(joint, layering)
+    rates.check_for(joint.relay_set)
+    return _build_report(joint, layering, rates, _as_epsilon(epsilon))
 
 
 def check_outer(
@@ -363,7 +371,8 @@ def check_outer(
     `region_caps(joint, None)`: computed on the first call on the joint or
     its relay table and read from there after, once the rates and epsilon
     are checked."""
-    return _build_report(joint, None, rates, epsilon)
+    rates.check_for(joint.relay_set)
+    return _build_report(joint, None, rates, _as_epsilon(epsilon))
 
 
 def pick_violator(report: ConstraintReport):

@@ -32,6 +32,8 @@ from .region import (
     DEFAULT_EPSILON,
     ConstraintReport,
     RateVector,
+    _as_epsilon,
+    _build_report,
     check_layered,
     fmt12,
     pick_violator,
@@ -113,6 +115,7 @@ def solve(
         max_iter = default_max_iter(len(relays))
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    epsilon = _as_epsilon(epsilon)  # checked once: each step's report checks nothing
 
     current = Layering((relays,))
     seen = {current}
@@ -120,7 +123,7 @@ def solve(
     core: frozenset[int] = frozenset()
     steps: list[SolveStep] = []
     for n in range(max_iter + 1):
-        report = check_layered(joint, current, rates, epsilon)
+        report = _build_report(joint, current, rates, epsilon)
         chosen, degenerate = pick_violator(report)
         steps.append(
             SolveStep(
@@ -139,7 +142,7 @@ def solve(
                 # layers; compaction only widens the caps, so it accepts too
                 # (checked anyway) and gives the shorter decode schedule
                 packed = compact(current)
-                if check_layered(joint, packed, rates, epsilon).is_member:
+                if _build_report(joint, packed, rates, epsilon).is_member:
                     result = packed
             return result, SolveTrace(steps=steps, status="achieved")
         if n == max_iter:

@@ -1,6 +1,7 @@
 """H-representations, vertex enumeration, and the atlas export."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -173,6 +174,21 @@ class TestAtlas:
         obj = json.loads(atlas.dumps())
         for vertices in [obj["outer"]["vertices"]] + [e["vertices"] for e in obj["layerings"]]:
             assert vertices == sorted(vertices)
+
+    @pytest.mark.parametrize("seed", [7, 301])
+    def test_a_shared_coordinate_prints_once(self, seed):
+        # on 2|3|4 of these channels, one coordinate of several vertices is solved
+        # from different planes and used to print two ways in its 12th digit
+        atlas = cf.export_atlas(cf.build_joint(cf.demo_spec(3, seed)), with_vertices=True)
+        for vertices in [atlas.outer_vertices] + [e.vertices for e in atlas.entries]:
+            for axis in zip(*vertices):
+                for a, b in combinations(axis, 2):
+                    assert a == b or abs(a - b) > cf.geometry.COORD_TOL
+
+    def test_snap_gives_a_run_its_least_value(self):
+        low = 4.43037248763e-05
+        values = [low + 4e-16, 0.0, low, low + 2e-12, 1e-13]
+        assert cf.geometry._snap(values) == [low, 0.0, low, low + 2e-12, 0.0]
 
     def test_vertices_capped_at_three_relays(self):
         joint = cf.build_joint(cf.demo_spec(4, 0))

@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import cflayers as cf
 
+from _factor_oracle import FactorOracle
 from _oracle import brute_force_joint, cond_entropy, entropy, mutual_info, variable_labels
 from conftest import (SYMMETRIC_FAMILIES, random_spec, random_subset, symmetric_family,
                       thin_spec)
@@ -691,8 +692,11 @@ class TestFamily:
         got = [joint.relay_entropy(a, b) for a, b in pairs]
         got.append(joint.entropy({joint.x(2), joint.yhat(3)}))  # the generic path
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
-        # one sum per query, every mask being new, each of the kept relay table
-        assert summed_sizes == [members["relay"].table.size] * len(want)
+        # the 27 masks with b in a come from the fill and sum nothing; each other
+        # query, every mask being new, sums the kept relay table once
+        outside = sum(not b <= a for a, b in pairs) + 1
+        assert outside == 64 - 27 + 1
+        assert summed_sizes == [members["relay"].table.size] * outside
         assert members["relay"].table.size < root.table.size
 
     # a constructed joint sums its relay table once, so every entry of the memo it
@@ -759,6 +763,18 @@ class TestFamily:
         # the same validated factors, nor a walked table, which sums a checked table
         assert checked == dict.fromkeys(runs, 1)
 
+    def test_cold_seven_relay_check_sums_the_relay_table_once_per_pair(self, tmp_path,
+                                                                        summed_sizes, capsys):
+        cf.demo_spec(7, 7).save(tmp_path / "c7.json")
+        rates = {str(i): 0.0007 if i == 2 else 1e-5 for i in range(2, 9)}
+        (tmp_path / "r7.json").write_text(json.dumps({"rates": rates}))
+        summed_sizes.clear()
+        cf.cli.main(["check", "--channel", str(tmp_path / "c7.json"),
+                     "--rates", str(tmp_path / "r7.json")])
+        capsys.readouterr()
+        # one sum per pair term H(Xi, Yhi); the 2,187 cap terms are one fill (134 sums before)
+        assert summed_sizes == [2 ** 15] * 7
+
     def test_floors_reads_each_floor_from_a_singleton_joint(self, tmp_path, monkeypatch,
                                                              capsys):
         sums = []  # (cells read, axes kept) per sum
@@ -776,7 +792,7 @@ class TestFamily:
         capsys.readouterr()
         # the X1-free joint is summed to no floor term such as (Xi, Yi, Yhi), the
         # window tables come from the one-axis walk, and the relay table is contracted
-        # in the build, not summed from that joint: 395 sums of 18.96M cells, not 25.3M
+        # in the build, not summed from that joint: 269 sums of 17.92M cells, not 25.3M
         assert max(size for size, _ in sums) == 2 ** 19
         assert [kept for size, kept in sums if size == 2 ** 19 and kept <= 3] == []
         assert sum(size for size, _ in sums) <= 18.96e6
@@ -784,19 +800,177 @@ class TestFamily:
 
 # log2 of the size of each table summed, less 11, in order, by `floors`, `check`
 # and `solve` on demo_spec(6, 7) and `export` on demo_spec(5, 7): 2^19 cells is 8,
-# the 6-relay relay table (2^13) is 2, the 5-relay one (2^11) is 0
+# the 6-relay relay table (2^13) is 2, the 5-relay one (2^11) is 0.  Every entry of
+# the cap family comes from one fill of the relay table, which sums no marginal, so
+# `check`, `solve` and `export` sum it once per pair term H(Xi, Yhi)
 CLI_SUMS = {
     "floors": "8765434335433433654334335433433765433433543343365433433543343387"
-              "6543343354334336543343354334337654334335433433654334335433433222"
-              "2822272226222522242222233422222335222422222335222622252224222223"
-              "3522262225222622272226222522242222233522262225222622272226222522"
-              "2622272226222722282272226222522242222335222622252226222722262225"
-              "2226222722262227222822722262225222622272226222722282272226222722"
-              "28227222822",
-    "check": "2" * 69,
-    "solve": "2" * 224,
-    "export": "0" * 247,
+              "6543343354334336543343354334337654334335433433654334335433433228"
+              "2726252422233422233524222335262524222335262526272625242223352625"
+              "2627262526272627287262524223352625262726252627262728726252627262"
+              "7287262728728",
+    "check": "2" * 6,
+    "solve": "2" * 6,
+    "export": "0" * 5,
 }
+
+
+def family_pairs(relays):
+    """Every (A, B) of relay sets with B in A: the cap family's H(X_A, Yh_B, Yd)."""
+    return [(a, b) for a in powerset(relays) for b in powerset(a)]
+
+
+def family_of(joint) -> dict:
+    """The memo entries of `joint`'s cap family, filled by a query to one of them."""
+    joint.relay_entropy((), ())
+    relay = joint.relay_joint()
+    return {mask: h for mask, h in joint._memo.items() if relay._in_family(mask)}
+
+
+FILL_SPECS = {
+    **{f"demo-n{n}s{s}": partial(cf.demo_spec, n, s) for n in range(1, 7) for s in (1, 7)},
+    **{f"random-n{n}s{s}": partial(lambda n, s: random_spec(np.random.default_rng(s), n), n, s)
+       for n in (1, 2, 3, 4) for s in (5, 61)},
+    **{f"{name}-n{n}": partial(symmetric_family, name, n)  # exact zeros and ties
+       for name in SYMMETRIC_FAMILIES for n in (2, 4)},
+    "thin-n5": partial(thin_spec, 5),  # one-letter Y and Yh
+}
+
+
+class TestFill:
+    """Every entry of the cap family, H(X_A, Yh_B, Yd) for B in A, comes from one
+    numpy pass over the relay table (`JointPmf._fill`), whichever query asks first."""
+
+    @pytest.mark.parametrize("make", FILL_SPECS.values(), ids=FILL_SPECS.keys())
+    def test_matches_the_factor_oracle(self, make, summed_sizes):
+        spec = make()
+        joint, oracle = cf.build_relay_joint(spec), FactorOracle(spec)
+        pairs = family_pairs(joint.relays)
+        got = {(a, b): joint.relay_entropy(a, b) for a, b in pairs}
+        assert summed_sizes == [] and len(got) == 3 ** len(joint.relays)
+        assert max(abs(h - oracle.relay_entropy(a, b)) for (a, b), h in got.items()) <= 1e-12
+
+    def test_joint_without_a_compression(self, summed_sizes):
+        spec = cf.demo_spec(3, 7)
+        full, oracle = cf.build_joint(spec), FactorOracle(spec)
+        variables = [v for v in full.variables if v != full.yhat(3)]
+        made = cf.JointPmf(variables, full.marginal(variables))
+        summed_sizes.clear()
+        got = {(a, b): made.relay_entropy(a, b) for a, b in family_pairs(made.relays)
+               if 3 not in b}
+        assert summed_sizes == [] and len(got) == 3 ** 2 * 2
+        assert max(abs(h - oracle.relay_entropy(a, b)) for (a, b), h in got.items()) <= 1e-12
+        assert len(family_of(made)) == len(got)
+
+    @pytest.mark.parametrize("cells", [
+        [ZERO / 2, ZERO / 2, ZERO, 0.0, 0.5 - 2 * ZERO, 0.5, 0.0, 0.0],
+        [ZERO, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5 - ZERO, 0.5],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ], ids=["below", "at", "point"])
+    def test_hand_tables_at_and_below_zero_mass(self, cells):
+        # over (X2, Yh2, Y3): some cells and some sums of them at or below ZERO_MASS
+        variables = cf.build_relay_joint(cf.demo_spec(1, 7)).variables
+        joint = cf.JointPmf(variables, np.array(cells).reshape(2, 2, 2))
+        pmf = {key: p for key, p in np.ndenumerate(joint.table)}
+        labels = [v.label for v in variables]
+        for a, b in family_pairs(joint.relays):
+            wanted = [f"X{i}" for i in a] + [f"Yh{i}" for i in b] + ["Y3"]
+            h = joint.relay_entropy(a, b)
+            assert abs(h - entropy(pmf, labels, wanted)) <= 1e-12
+            assert math.copysign(1.0, h) == 1.0  # clamped at +0.0
+
+    @pytest.mark.parametrize("slab", [1, 7, 60, 500])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_fill_is_the_unsplit_one(self, monkeypatch, slab, seed):
+        spec = random_spec(np.random.default_rng(seed), n_relays=3)
+        whole = family_of(cf.build_relay_joint(spec))
+        grown = spec.dest_alphabet * math.prod(  # one slab at the default size, many at `slab`
+            r.x_alphabet * (r.yhat_alphabet + 1) + 1 for r in spec.relays)
+        assert slab < grown <= cf.probability.SUM_SLAB_CELLS
+        monkeypatch.setattr(cf.probability, "SUM_SLAB_CELLS", slab)
+        split = family_of(cf.build_relay_joint(spec))
+        assert split.keys() == whole.keys()
+        assert all(split[k] == whole[k] for k in whole)
+
+    def test_six_relay_fill_splits_to_the_unsplit_bits(self, monkeypatch):
+        spec = cf.demo_spec(6, 7)
+        split = family_of(cf.build_relay_joint(spec))  # 7^6 * 2 grown cells: split
+        monkeypatch.setattr(cf.probability, "SUM_SLAB_CELLS", 1 << 20)
+        assert split == family_of(cf.build_relay_joint(spec))
+
+    def test_fill_holds_a_few_slabs(self):
+        joint = cf.build_relay_joint(cf.demo_spec(7, 7))  # 7^7 * 2 grown cells, 26 MB unsplit
+        tracemalloc.start()
+        try:
+            joint._fill()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a grown slab, its p log2 p and the masks and sums beside them: about 1 MB
+        assert peak <= 4 * 8 * cf.probability.SUM_SLAB_CELLS
+
+    def test_fill_sums_no_marginal(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the fill summed a marginal")
+
+        spec = cf.demo_spec(3, 7)
+        joint = cf.build_joint(spec)
+        monkeypatch.setattr(cf.probability, "_sum_table", refuse)
+        monkeypatch.setattr(cf.JointPmf, "marginal", refuse)
+        got = {(a, b): joint.relay_entropy(a, b) for a, b in family_pairs(joint.relays)}
+        got["generic"] = joint.entropy({joint.x(2), joint.yhat(2), joint.x(4), joint.yd})
+        monkeypatch.undo()
+        assert got["generic"] == cf.build_relay_joint(spec).relay_entropy({2, 4}, {2})
+
+    @pytest.mark.parametrize("make", ["build_joint", "constructed"])
+    def test_first_asker_does_not_matter(self, make):
+        # root or relay table, relay_entropy, the generic entropy or a walked table's h,
+        # a family entry or another mask first: one memo of the same bits
+        spec = cf.demo_spec(4, 7)
+
+        def fresh():
+            root = cf.build_joint(spec)
+            return root if make == "build_joint" else cf.JointPmf(root.variables, root.table)
+
+        firsts = {
+            "root-relay": lambda j: j.relay_entropy({3, 5}, {5}),
+            "relay-relay": lambda j: j.relay_joint().relay_entropy({2}, ()),
+            "root-generic": lambda j: j.entropy({j.x(4), j.yhat(4), j.yd}),
+            "relay-generic": lambda j: j.relay_joint().entropy({j.yd}),
+            "root-other": lambda j: j.entropy({j.x(2), j.yhat(3)}),
+            "walked": lambda j: next(j._walk([]))[2](j._key("x", [2, 3]) | j._key("y", [6])),
+        }
+        families = {}
+        for name, first in firsts.items():
+            joint = fresh()
+            first(joint)
+            families[name] = family_of(joint)
+        want = families.pop("root-relay")
+        assert len(want) == 3 ** 4
+        assert all(got == want for got in families.values())
+
+    def test_threads_fill_one_family(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        spec = cf.demo_spec(5, 7)
+        want = family_of(cf.build_joint(spec))
+        joint = cf.build_joint(spec)  # cold
+        pairs = family_pairs(joint.relays)
+
+        def query(k):
+            member = joint if k % 2 else joint.relay_joint()
+            order = np.random.default_rng(k).permutation(len(pairs))
+            return {pairs[i]: member.relay_entropy(*pairs[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-fill
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(query, range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 16 and all(r == results[0] for r in results)
+        assert family_of(joint) == want
 
 
 class TestWalk:
@@ -1075,15 +1249,22 @@ class TestEntropy:
         lambda: cf.JointPmf(cf.build_joint(thin_spec(1)).variables, np.array(
             [ZERO, ZERO / 2, 0.5 - 1.5 * ZERO, 0.5, 0.0, 0.0, 0.0, 0.0]).reshape(2, 2, 1, 1, 2)),
     ], ids=["positive", "zeros", "at-and-below-zero-mass"])
-    def test_equals_the_compress_path(self, make):
+    def test_equals_the_compress_path(self, make, monkeypatch):
         joint = make()
         relay = joint.relay_joint()
+        split = make()  # the same joint, its cap family filled one grown cell at a time
+        monkeypatch.setattr(cf.probability, "SUM_SLAB_CELLS", 1)
+        split.relay_joint()._fill()
+        monkeypatch.undo()
         for k in range(len(joint.variables) + 1):
             for variables in combinations(joint.variables, k):
+                mask = joint._mask(variables)
+                if relay._in_family(mask):  # from the fill, which a split fill gives bit for bit
+                    assert joint.entropy(variables) == split._memo[mask]
+                    continue
                 # the table the joint sums them from: its relay table when that holds them
                 source = relay if set(variables) <= set(relay.variables) else joint
-                want = entropy_of(sum_to(source, joint._mask(variables)))
-                assert joint.entropy(variables) == want
+                assert joint.entropy(variables) == entropy_of(sum_to(source, mask))
 
     def test_no_copy_when_no_cell_is_dropped(self):
         joint = cf.build_joint(cf.demo_spec(4, 7))

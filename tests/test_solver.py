@@ -58,6 +58,25 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="epsilon"):
             cf.solve(demo2, zero_rates(demo2), epsilon=float("nan"))
 
+    def test_inputs_checked_once(self, monkeypatch):
+        # each step's report reads the rates and epsilon that solve checked first
+        joint = cf.build_joint(cf.demo_spec(3, 3))
+        rates = cf.RateVector(TWO_SHIFT_RATES)
+        checked = {"rates": 0, "epsilon": 0}
+        check_for, as_epsilon = cf.RateVector.check_for, cf.region._as_epsilon
+
+        def checking(name, check):
+            def wrapped(*args):
+                checked[name] += 1
+                return check(*args)
+            return wrapped
+
+        monkeypatch.setattr(cf.RateVector, "check_for", checking("rates", check_for))
+        monkeypatch.setattr(cf.region, "_as_epsilon", checking("epsilon", as_epsilon))
+        monkeypatch.setattr(cf.solver, "_as_epsilon", cf.region._as_epsilon)
+        _, trace = cf.solve(joint, rates)
+        assert trace.shifts == 2 and checked == {"rates": 1, "epsilon": 1}
+
     def test_max_iter_is_an_integer(self, demo2):
         # True used to run as 1, and 2.5 to fail in `range` with a bare TypeError
         for max_iter in (True, False, 2.5, 2.0, np.float64(2.0), "2"):
