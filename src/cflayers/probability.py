@@ -19,17 +19,19 @@ All entropies are in bits.  Queries are pure and cached, and no joint changes
 once built, so joints can be shared freely across threads.  A joint over more
 than the relay axes keeps a 2^(2n+1)-cell relay table (n binary relays), made
 once by `_build` or the constructor.  Every rate cap is a difference of terms
-H(X_A, Yh_B, Yd) with B in A, the cap family: the first query of any of them
-stores all 3^n in the memo, from the relay table in one numpy pass
-(`JointPmf._fill`).  Any other query on the relay axes is summed from the
-relay table.  No other joint is made over part of a joint's variables: the
-window and floor tables of `cflayers floors` are summed by `JointPmf._walk`,
-which makes no joint for them.
+H(X_A, Yh_B, Yd) with B in A, the cap family, and the outer caps read only
+the 2^n with B = A: the first query of one of those stores the 2^n in the
+memo, and the first query of any other stores all 3^n, each from the relay
+table in one numpy pass (`JointPmf._fill`).  Any other query on the relay
+axes is summed from the relay table.  No other joint is made over part of a
+joint's variables: the window and floor tables of `cflayers floors` are
+summed by `JointPmf._walk`, which makes no joint for them.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -270,22 +272,35 @@ def _emit_table(table: np.ndarray, out: list, fh, newline: str) -> None:
     out.append("".join(line + "]" for line in reversed(lines[:-1])))
 
 
-def _as_table(raw, name: str) -> np.ndarray:
-    """Nested lists of JSON numbers as a float array, checked in one numpy pass.
+_MAX_AXES = 64  # the most axes a numpy array has
 
-    Only int and float entries pass: true, null, strings and objects are no
-    numbers, and a list where a number belongs is a ragged (or too deep) table."""
-    table = np.array(raw, dtype=object)
-    cells = table.ravel()  # not .flat, which stops at 32 dimensions
-    kinds = list(map(type, cells))
-    odd = set(kinds) - {int, float}
-    if list in odd:
-        raise InvalidSpecError(f"table {name} is not rectangular past its first {table.ndim} axes")
-    if odd:
-        first = cells[min(map(kinds.index, odd))]
+
+def _as_table(raw, name: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array, read one level at a time.
+
+    While every item of a level is a list and all have one length, that
+    length is the next axis and the items' items the next level, up to
+    numpy's 64 axes; the items of the last level are the cells.  Only int
+    and float cells pass: true, null, strings and objects are no numbers,
+    and a list as a cell is a ragged (or too deep) table.  The array and
+    the error are those of reading `np.array(raw, dtype=object)` cell by
+    cell, without its object array."""
+    shape, cells = [], [raw]
+    kinds = {type(raw)}
+    while kinds == {list} and len(shape) < _MAX_AXES:
+        lengths = set(map(len, cells))
+        if len(lengths) > 1:
+            break
+        shape.append(lengths.pop())
+        cells = list(itertools.chain.from_iterable(cells))
+        kinds = set(map(type, cells))
+    if list in kinds:
+        raise InvalidSpecError(f"table {name} is not rectangular past its first {len(shape)} axes")
+    if not kinds <= {int, float}:
+        first = next(cell for cell in cells if type(cell) not in (int, float))
         raise InvalidSpecError(f"table {name} holds {first!r}, which is not a number")
     try:
-        return table.astype(float)
+        return np.array(cells, dtype=float).reshape(shape)
     except OverflowError:
         raise InvalidSpecError(f"table {name} holds an integer too large for a float") from None
 
@@ -509,82 +524,82 @@ def _add_up(parts, out=None) -> np.ndarray:
     return out
 
 
-def _states(block: tuple) -> list[int]:
+def _states(block: tuple, outer: bool) -> list[int]:
     """The cells of each state of a relay whose (X, Yh) sizes are `block`, Yh
-    0 when the table has none: (X, Yh) kept, then X kept when there is a Yh,
-    then neither."""
+    0 when the table has none: (X, Yh) kept, then X kept when there is a Yh
+    and the states are not the `outer` ones, then neither."""
     x, yh = block
-    return [x * yh, x, 1] if yh else [x, 1]
+    if not yh:
+        return [x, 1]
+    return [x * yh, 1] if outer else [x * yh, x, 1]
 
 
-def _grow_axis(table: np.ndarray, axis: int, block: tuple) -> np.ndarray:
+def _grow_axis(table: np.ndarray, axis: int, block: tuple, outer: bool) -> np.ndarray:
     """`table` with its `axis`, the cells of a relay whose (X, Yh) sizes are
-    `block`, followed by the cells of the relay's other states: X's cells
-    with Yh summed away, when it has a Yh, and then the one cell with both
-    summed away.  X's cell j with Yh summed away adds the block's cells
-    j*yh, ..., j*yh + yh - 1 in order; the last cell adds X's cells in
-    order."""
+    `block`, followed by the cells of the relay's other states (`_states`):
+    X's cells with Yh summed away, when it has a Yh and the states are not
+    the `outer` ones, and then the one cell with both summed away.  X's cell
+    j with Yh summed away adds the block's cells j*yh, ..., j*yh + yh - 1 in
+    order, kept or not; the last cell adds X's cells in order."""
     (x, yh), shape = block, table.shape
     cells = table.reshape(math.prod(shape[:axis]), shape[axis], -1)  # (before, block, after)
-    grown = np.empty((len(cells), sum(_states(block)), cells.shape[2]))
+    grown = np.empty((len(cells), sum(_states(block, outer)), cells.shape[2]))
     grown[:, :shape[axis]] = cells
+    xs = grown[:, :x]  # X's cells: the block itself when it has no Yh
     if yh:
+        xs = np.empty((len(cells), x, cells.shape[2])) if outer else grown[:, x * yh:x * yh + x]
         rows = cells.reshape(len(cells), x, yh, -1)
-        _add_up([rows[:, :, k] for k in range(yh)], grown[:, x * yh:x * yh + x])
-    _add_up([grown[:, k] for k in range(-1 - x, -1)], grown[:, -1])
+        _add_up([rows[:, :, k] for k in range(yh)], xs)
+    _add_up([xs[:, k] for k in range(x)], grown[:, -1])
     return grown.reshape(*shape[:axis], -1, *shape[axis + 1:])
 
 
-def _grow(table: np.ndarray, blocks: list) -> np.ndarray:
-    """`table`, with each relay's axis grown by `_grow_axis`, the last relay
-    first."""
-    for axis in range(len(blocks), 0, -1):
-        table = _grow_axis(table, axis, blocks[axis - 1])
-    return table
-
-
-def _reduce(sums: np.ndarray, axis: int, block: tuple) -> np.ndarray:
-    """`sums` with its `axis`, a relay's cells as `_grow` lays them out, added
-    up per state: one entry per state, in the order of `_states`."""
-    shape = sums.shape
+def _reduce(sums: np.ndarray, axis: int, block: tuple, outer: bool) -> np.ndarray:
+    """`sums` with its `axis`, a relay's cells as `_grow_axis` lays them out,
+    added up per state: one entry per state, in the order of `_states`."""
+    shape, states = sums.shape, _states(block, outer)
     cells = sums.reshape(math.prod(shape[:axis]), shape[axis], -1)  # (before, relay, after)
-    out = np.empty((len(cells), len(_states(block)), cells.shape[2]))
+    out = np.empty((len(cells), len(states), cells.shape[2]))
     start = 0
-    for state, width in enumerate(_states(block)):
+    for state, width in enumerate(states):
         _add_up([cells[:, k] for k in range(start, start + width)], out[:, state])
         start += width
     return out.reshape(*shape[:axis], -1, *shape[axis + 1:])
 
 
-def _family_sums(table: np.ndarray, blocks: list) -> np.ndarray:
+def _family_sums(table: np.ndarray, blocks: list, outer: bool) -> np.ndarray:
     """The sum of p log2 p over the cells above ZERO_MASS of every marginal
-    of `table` over (X_A, Yh_B, Yd) with B in A: the cap family.  `table` has
-    Yd first and then one axis per relay, the cells of its (X, Yh) block;
-    `blocks` holds each relay's (X, Yh) sizes, Yh 0 when the table has none.
-    The result has one axis per relay, one entry per state of `_states`.
+    of `table` over (X_A, Yh_B, Yd) with B in A, the cap family, or only of
+    those with B = A, the `outer` entries.  `table` has Yd first and then one
+    axis per relay, the cells of its (X, Yh) block; `blocks` holds each
+    relay's (X, Yh) sizes, Yh 0 when the table has none.  The result has one
+    axis per relay, one entry per state of `_states`.
 
-    The table is grown by `_grow`, so that every family marginal is a block
-    of it; p log2 p is formed once per cell, and then summed over Yd and over
-    each relay's states, the first relay first (`_reduce`).  When the grown
-    table would hold more than SUM_SLAB_CELLS cells, it is split on the last
-    relay, the innermost axis, which `_grow` grows first: `_grow_axis` grows
-    that axis alone, each of its grown cells is a slab, handled as a table
-    of one relay fewer, and the slabs' results are summed per state.
-    Every sum adds arrays in order (`_add_up`), so the split gives the bits
-    of the unsplit table."""
-    grown = math.prod(sum(_states(block)) for block in blocks) * len(table)
+    Each relay's axis is grown by `_grow_axis`, the last relay first, so
+    that every marginal asked for is a block of the grown table; p log2 p is
+    formed once per cell, and then summed over Yd and over each relay's
+    states, the first relay first (`_reduce`).  When the grown table would
+    hold more than SUM_SLAB_CELLS cells, it is split on the last relay, the
+    innermost axis, which is grown first: `_grow_axis` grows that axis
+    alone, each of its grown cells is a slab, handled as a table of one
+    relay fewer, and the slabs' results are summed per state.  Every sum
+    adds arrays in order (`_add_up`), and a grown cell is formed the same
+    way whichever states are grown, so the split gives the bits of the
+    unsplit table and the outer entries are the full family's bit for bit."""
+    grown = math.prod(sum(_states(block, outer)) for block in blocks) * len(table)
     if blocks and grown > SUM_SLAB_CELLS:
         block, rest = blocks[-1], blocks[:-1]
-        slabs = np.moveaxis(_grow_axis(table, len(blocks), block), -1, 0)
-        sums = np.stack([_family_sums(slab, rest) for slab in slabs], -1)
-        return _reduce(sums, len(rest), block)
-    table = _grow(table, blocks)
+        slabs = np.moveaxis(_grow_axis(table, len(blocks), block, outer), -1, 0)
+        sums = np.stack([_family_sums(slab, rest, outer) for slab in slabs], -1)
+        return _reduce(sums, len(rest), block, outer)
+    for axis in range(len(blocks), 0, -1):
+        table = _grow_axis(table, axis, blocks[axis - 1], outer)
     terms = np.where(table > ZERO_MASS, table, 1.0)  # p log2 p in place: 0 at or below ZERO_MASS
     np.log2(terms, out=terms)
     terms *= table
     sums = _add_up(terms)
     for axis, block in enumerate(blocks):
-        sums = _reduce(sums, axis, block)
+        sums = _reduce(sums, axis, block, outer)
     return sums
 
 
@@ -630,6 +645,17 @@ def _relay_axes(variables) -> list[int]:
     return [i for i, v in enumerate(variables) if v.label != "X1" and (v.kind != "y" or v.node == d)]
 
 
+def _ascending_sum(term, nodes) -> float:
+    """`term(i)` for each node of `nodes`, added left to right in ascending node
+    order, from 0: the bits depend neither on the order `nodes` iterates in nor
+    on the Python version (3.12's `sum` compensates).  Every sum over relays of
+    the package adds this way."""
+    total = 0
+    for i in sorted(nodes):
+        total += term(i)
+    return total
+
+
 def _mutual_info(h, a: int, b: int, c: int) -> float:
     """I(a ; b | c) in bits, for memo masks `a`, `b` and `c`, from `h`, the
     entropy of a mask: (H(a c) - H(c)) - (H(a b c) - H(b c)), with tiny
@@ -659,10 +685,12 @@ class JointPmf:
     `build_relay_joint` from `_build`, its own table summed by the constructor.
     The part is in its memo-key space and shares its memo, so an entropy
     computed on either answers both, and so do the outer region's caps that
-    `region.region_caps` keeps beside the memo.  The first query of any
+    `region.region_caps` keeps beside the memo.  The first query of an
     entry of the cap family, H(X_A, Yh_B, Yd) for relay sets B in A, fills
-    all 3^n of them from the relay table in one pass (`_fill`), whichever
-    member or query asks; no entry is computed another way.  Any other new
+    from the relay table in one pass (`_fill`) the 2^n outer entries, B = A,
+    when it is one of them, and all 3^n otherwise, whichever member or query
+    asks; the outer entries a full pass finds stored stay, and have its
+    bits.  No entry is computed another way.  Any other new
     entropy is summed from the relay table when it holds the variables, so
     no relay query sums the full table.  No other part is made: the tables
     that `cflayers floors` walks are summed by `_walk`.  Tables are checked
@@ -774,7 +802,8 @@ class JointPmf:
 
     def _entropy(self, mask: int, variables=None, at=None) -> float:
         """H of the variables in `mask`: the memo's; else, for a mask of the
-        cap family, the one the relay table's `_fill` stores; else summed by
+        cap family, the one the relay table's `_fill` stores, of the outer
+        entries alone when `mask` is one of them; else summed by
         `_sum` from `at` or this joint, or by `marginal` for the generic
         queries that give `variables`."""
         memo = self._memo
@@ -782,7 +811,7 @@ class JointPmf:
         if cached is None:
             relay = self.relay_joint()
             if relay._in_family(mask):
-                relay._fill()
+                relay._fill(relay._is_outer(mask))
                 return memo[mask]
             marg = (self._sum(mask, at) if variables is None
                     else self._source(mask).marginal(variables)).ravel()
@@ -830,17 +859,23 @@ class JointPmf:
             return False
         return all(mask & x or not mask & yh for x, _, yh, _ in self._blocks())
 
-    def _fill(self) -> None:
+    def _is_outer(self, mask: int) -> bool:
+        """Whether `mask`, an entry of the cap family on this relay table, is
+        an outer one, H(X_A, Yh_A, Yd): each relay with a Yh has both or neither."""
+        return all(bool(mask & x) == bool(mask & yh) for x, _, yh, _ in self._blocks() if yh)
+
+    def _fill(self, outer: bool = False) -> None:
         """Store in the memo every entry of the cap family, H(X_A, Yh_B, Yd)
-        for relay sets B in A, 3^n of them, summed from this relay table in
-        one pass (`_family_sums`), each clamped at 0 as `_entropy` clamps.
-        An entry already stored, by a concurrent fill, stays."""
+        for relay sets B in A, 3^n of them, or only the 2^n `outer` ones with
+        B = A, summed from this relay table in one pass (`_family_sums`), each
+        clamped at 0 as `_entropy` clamps.  An entry already stored, by an
+        outer fill or a concurrent one, stays: it has the same bits."""
         keys, sizes = np.array(self._bits[-1]), []  # an entry's mask: Yd's bit and its states'
         for x, x_size, yh, yh_size in self._blocks():
-            keys = np.add.outer(keys, [x | yh, x, 0] if yh else [x, 0])
+            keys = np.add.outer(keys, [x | yh, 0] if outer or not yh else [x | yh, x, 0])
             sizes.append((x_size, yh_size))
         shape = [x * (yh or 1) for x, yh in sizes] + [self._variables[-1].size]
-        sums = _family_sums(np.moveaxis(self._table.reshape(shape), -1, 0), sizes)
+        sums = _family_sums(np.moveaxis(self._table.reshape(shape), -1, 0), sizes, outer)
         memo = self._memo
         for key, total in zip(keys.ravel().tolist(), sums.ravel().tolist()):
             memo.setdefault(key, max(0.0, -total))
@@ -899,8 +934,13 @@ class JointPmf:
         return _mutual_info(self._entropy, self._mask(a), self._mask(b), self._mask(c))
 
     def pair_entropy_sum(self, nodes) -> float:
-        """Sum over the given relays of H(Xi, Yhi); 0 for the empty set."""
-        return sum(self.entropy({self.x(i), self.yhat(i)}) for i in nodes)
+        """Sum over the given relays of H(Xi, Yhi), added left to right in
+        ascending node order, from 0, as `_ascending_sum` adds; 0 for the
+        empty set."""
+        total = 0
+        for i in sorted(nodes):  # inline: a call per term would slow every staged cap
+            total += self.entropy({self.x(i), self.yhat(i)})
+        return total
 
     def _walk(self, levels, at=None, mask=0, depth=0):
         """Walk tables summed from this joint's, depth first, one level at a

@@ -28,9 +28,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 
+import numpy as np
+
 from .errors import EmptySubsetError, InvalidRatesError, InvalidSubsetError
 from .layering import Layering, active, prefix_union, validate_layering
-from .probability import JointPmf, _build, _mutual_info
+from .probability import JointPmf, _ascending_sum, _build, _mutual_info
 
 DEFAULT_EPSILON = 1e-9
 
@@ -89,17 +91,12 @@ class RateVector:
 
     def subset_sum(self, nodes) -> float:
         """The rates of `nodes` added left to right in ascending node order,
-        from 0, so the bits depend neither on the order `nodes` iterates in
-        nor on the Python version (3.12's `sum` compensates), and -0.0 rates
-        add up to 0.0."""
+        from 0 (`_ascending_sum`), so -0.0 rates add up to 0.0."""
         nodes = list(nodes)
         missing = {i for i in nodes if i not in self._rates}
         if missing:
             raise InvalidSubsetError(f"nodes {sorted(missing)} have no rate")
-        total = 0
-        for i in sorted(nodes):
-            total += self._rates[i]
-        return total
+        return _ascending_sum(self._rates.__getitem__, nodes)
 
     def check_for(self, relays) -> None:
         relays = frozenset(relays)
@@ -181,12 +178,10 @@ def h_term(joint: JointPmf, layering: Layering, s, l: int) -> float:
     return _stage(joint, prefix_union(layering, l), prefix_union(layering, l - 1), now, before)
 
 
-def _cap(joint: JointPmf, layering: Layering | None, s: frozenset[int]) -> float:
-    """Outer cap of `s` when `layering` is None, else its staged cap: the pair sum
-    minus the stage of each layer l = 0..depth, in one walk down the layers."""
+def _cap(joint: JointPmf, layering: Layering, s: frozenset[int]) -> float:
+    """Staged cap of `s` under `layering`: the pair sum minus the stage of each
+    layer l = 0..depth, in one walk down the layers."""
     total = joint.pair_entropy_sum(s)
-    if layering is None:
-        return total - block_cond_entropy(joint, s, joint.relay_set - s)
     upto = before = frozenset()
     for layer in layering.layers + (frozenset(),):
         upto_now, now = upto | layer, s & layer
@@ -214,8 +209,15 @@ def layered_rhs(joint: JointPmf, layering: Layering, s) -> float:
 
 
 def boundary_rhs(joint: JointPmf, s) -> float:
-    """Rate cap for subset `s` in the layering-free outer region."""
-    return _cap(joint, None, _relay_subset(joint, s))
+    """Rate cap for subset `s` in the layering-free outer region: its entry of
+    `region_caps(joint, None)`."""
+    s = _relay_subset(joint, s)
+    return _caps(joint, None)[_position(joint.relays, s)][1]
+
+
+def _position(relays, s: frozenset[int]) -> int:
+    """The place of the nonempty relay set `s` in bitmask order over `relays`."""
+    return sum(1 << j for j, i in enumerate(sorted(relays)) if i in s) - 1
 
 
 def region_caps(joint: JointPmf, layering: Layering | None) -> tuple:
@@ -223,20 +225,44 @@ def region_caps(joint: JointPmf, layering: Layering | None) -> tuple:
     region's caps when `layering` is None, else the staged caps of `layering`,
     which is checked against the joint first.
 
-    The outer caps are computed once per joint and shared with its relay
-    table: later calls on either return the same tuple.  Layered caps are
-    not cached; each call computes them again from the entropy memo."""
+    The outer caps are computed once per joint, all at once (`_outer_caps`),
+    and shared with its relay table: later calls on either return the same
+    tuple.  Layered caps are not cached; each call computes them again from
+    the entropy memo, one subset at a time (`_cap`)."""
     if layering is not None:
         require_valid_layering(joint, layering)
     return _caps(joint, layering)
 
 
 def _caps(joint: JointPmf, layering: Layering | None) -> tuple:
+    if layering is not None:
+        return tuple((s, _cap(joint, layering, s)) for s in subsets_by_mask(joint.relay_set))
     kept = joint._outer_caps  # the outer caps, beside the entropy memo
-    if layering is None and None in kept:
-        return kept[None]
-    caps = tuple((s, _cap(joint, layering, s)) for s in subsets_by_mask(joint.relay_set))
-    return caps if layering is not None else kept.setdefault(None, caps)  # first stored wins
+    return kept[None] if None in kept else kept.setdefault(None, _outer_caps(joint))  # first wins
+
+
+def _outer_caps(joint: JointPmf) -> tuple:
+    """(subset, cap) for every nonempty relay subset S in bitmask order, the
+    outer region's: the pair sum of S minus H(X_S Yh_S | X_G Yh_G Yd), as
+    one vector operation over the 2^n entries E[A] = H(X_A, Yh_A, Yd), which
+    the first of them fills alone, and the n pair terms H(Xi, Yhi).  Each
+    pair sum adds the relays in ascending order, as `pair_entropy_sum` does,
+    and then E[R] - E[R - S] is subtracted, as `block_cond_entropy` gives
+    it, so each cap has the bits of that formula."""
+    keys, pairs = [joint._key("y", [joint.d])], []  # keys[m]: E's mask of relay set m
+    for i in joint.relays:
+        pair = {joint.x(i), joint.yhat(i)}
+        both = joint._mask(pair)
+        keys += [key | both for key in keys]
+        pairs.append(joint.entropy(pair))
+    entries = np.array([joint._entropy(key) for key in keys])
+    full = len(keys) - 1
+    masks = np.arange(1, full + 1)
+    total = np.zeros(full)
+    for j, h in enumerate(pairs):
+        total += np.where(masks >> j & 1, h, 0.0)
+    caps = total - (entries[full] - entries[full ^ masks])
+    return tuple(zip(subsets_by_mask(joint.relay_set), caps.tolist()))
 
 
 # -- membership reports ----------------------------------------------------------
@@ -303,8 +329,7 @@ class ConstraintReport:
     def _index(self, subset) -> int:
         """Position of `subset` in bitmask order; KeyError when the report has none."""
         subset = frozenset(subset)
-        nodes = sorted(self.caps[-1][0]) if self.caps else []  # the last subset is all relays
-        k = sum(1 << j for j, i in enumerate(nodes) if i in subset) - 1
+        k = _position(self.caps[-1][0] if self.caps else (), subset)  # the last is all relays
         if k < 0 or self.caps[k][0] != subset:
             raise KeyError(f"no entry for subset {sorted(subset)}")
         return k
@@ -411,7 +436,8 @@ def _relay_floor(joint: JointPmf, i: int, h) -> float:
 
 
 def floor_sum(floors: dict[int, float], s) -> float:
-    return sum(floors[i] for i in s)
+    """The floors of the relays `s`, added in ascending node order (`_ascending_sum`)."""
+    return _ascending_sum(floors.__getitem__, s)
 
 
 def source_rate(joint: JointPmf) -> float:
@@ -462,9 +488,10 @@ def window_gap_forms(joint: JointPmf, s) -> tuple[float, ...]:
     bound_block = block_cond_entropy(joint, s, rest)  # H(X_s Yh_s | X_G Yh_G Yd)
     floors = compression_floor(joint)
 
-    sum_h_yh_given_x = sum(hc({joint.yhat(i)}, {joint.x(i)}) for i in s)
-    sum_h_yh_given_xy = sum(hc({joint.yhat(i)}, {joint.x(i), joint.y(i)}) for i in s)
-    sum_h_x = sum(h({joint.x(i)}) for i in s)
+    sum_h_yh_given_x = _ascending_sum(lambda i: hc({joint.yhat(i)}, {joint.x(i)}), s)
+    sum_h_yh_given_xy = _ascending_sum(
+        lambda i: hc({joint.yhat(i)}, {joint.x(i), joint.y(i)}), s)
+    sum_h_x = _ascending_sum(lambda i: h({joint.x(i)}), s)
 
     g1 = (pair - bound_block) - floor_sum(floors, s)
     g2 = (pair - bound_block) - (sum_h_yh_given_x - sum_h_yh_given_xy)

@@ -169,13 +169,17 @@ def brute_force_layering(
     rates: RateVector,
     epsilon: float = DEFAULT_EPSILON,
 ) -> list[Layering]:
-    """All canonical layerings whose region contains `rates`, in enumeration order."""
+    """All canonical layerings whose region contains `rates`, in enumeration
+    order.  The rates, the relay count and epsilon are checked once, in that
+    order, and each layering's report checks nothing again."""
     relays = joint.relay_set
     rates.check_for(relays)
+    layerings = enumerate_layerings(relays)
+    epsilon = _as_epsilon(epsilon)
     return [
         layering
-        for layering in enumerate_layerings(relays)
-        if check_layered(joint, layering, rates, epsilon).is_member
+        for layering in layerings
+        if _build_report(joint, layering, rates, epsilon).is_member
     ]
 
 

@@ -4,13 +4,36 @@ Everything here is pure-Python dict arithmetic over explicit assignment
 tuples, deliberately sharing no code with the package: the joint is built by
 looping over assignments, conditional entropies are direct double summations
 sum_b p(b) H(A | B=b), and mutual information is the direct triple-sum over
-the log-ratio.  Variables are addressed by label ("X1", "Y2", "Yh3", ...).
+the log-ratio.  Variables are addressed by label ("X1", "Y2", "Yh3", ...).  `spec_table` is
+the object-array reading of a spec table that the package once used, kept as
+the reference for the package's one-level-at-a-time reading.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
+
+import numpy as np
+
+
+def spec_table(raw, name: str):
+    """The float array of the JSON value `raw`, read through
+    `np.array(raw, dtype=object)` cell by cell, or the message of the spec
+    error that reading raises for the table called `name`."""
+    table = np.array(raw, dtype=object)
+    cells = table.ravel()  # not .flat, which stops at 32 dimensions
+    kinds = list(map(type, cells))
+    odd = set(kinds) - {int, float}
+    if list in odd:
+        return f"table {name} is not rectangular past its first {table.ndim} axes"
+    if odd:
+        first = cells[min(map(kinds.index, odd))]
+        return f"table {name} holds {first!r}, which is not a number"
+    try:
+        return table.astype(float)
+    except OverflowError:
+        return f"table {name} holds an integer too large for a float"
 
 
 def variable_labels(spec) -> list[str]:

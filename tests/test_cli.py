@@ -1,7 +1,11 @@
 """Exit codes, output formats, and determinism of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from test_layering import BAD_LAYERING_TOKENS
 from test_probability import NON_NUMBER_SPEC_EDITS, mixed_specs, nudged_spec_obj
 from test_region import MISTYPED_RATE_FILES
 from test_solver import TWO_SHIFT_RATES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -729,6 +735,29 @@ class TestUsage:
             main(argv + ["--channel", "unused.json"])
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+    def test_back_to_back_calls_print_what_fresh_processes_print(self, demo3_file, tmp_path,
+                                                                 capsys):
+        # the parser is built once per process: no option of one call reaches the next
+        rates = write_rates(tmp_path, TWO_SHIFT_RATES)
+        chan = ["--channel", demo3_file, "--rates", rates]
+        calls = [["check", *chan, "--layering", "4|3|2", "--format", "json"],
+                 ["check", *chan],
+                 ["demo", "--relays", "1", "--seed", "3", "--out", str(tmp_path / "d.json")],
+                 ["demo", "--relays", "1", "--seed", "3"],
+                 ["layerings", "--count", "2", "--format", "json"],
+                 ["solve", *chan]]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "cflayers.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
+                                                          fresh.stderr)
 
 
 class TestOutputStep:

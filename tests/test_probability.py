@@ -1,5 +1,6 @@
 """Channel spec validation, joint construction, and the entropy engine."""
 
+import copy
 import inspect
 import io
 import json
@@ -19,7 +20,8 @@ from hypothesis.extra import numpy as hnp
 import cflayers as cf
 
 from _factor_oracle import FactorOracle
-from _oracle import brute_force_joint, cond_entropy, entropy, mutual_info, variable_labels
+from _oracle import (brute_force_joint, cond_entropy, entropy, mutual_info, spec_table,
+                     variable_labels)
 from conftest import (SYMMETRIC_FAMILIES, random_spec, random_subset, symmetric_family,
                       thin_spec)
 
@@ -821,8 +823,9 @@ def family_pairs(relays):
 
 
 def family_of(joint) -> dict:
-    """The memo entries of `joint`'s cap family, filled by a query to one of them."""
-    joint.relay_entropy((), ())
+    """The memo entries of `joint`'s cap family, all 3^n of them: filled by a
+    query to H(X2, Yd), which is no outer entry."""
+    joint.relay_entropy({2}, ())
     relay = joint.relay_joint()
     return {mask: h for mask, h in joint._memo.items() if relay._in_family(mask)}
 
@@ -971,6 +974,82 @@ class TestFill:
             sys.setswitchinterval(interval)
         assert len(results) == 16 and all(r == results[0] for r in results)
         assert family_of(joint) == want
+
+
+def outer_of(joint) -> dict:
+    """The memo of a cold `joint` after a query to H(Yd), an outer entry: the
+    2^n outer entries H(X_A, Yh_A, Yd), filled alone."""
+    joint.relay_entropy((), ())
+    return dict(joint._memo)
+
+
+class TestOuterFill:
+    """The first miss on an outer entry, H(X_A, Yh_A, Yd), fills the 2^n outer
+    entries alone, with the bits of the full family's; any other family miss
+    then fills all 3^n, and the stored outer entries stay."""
+
+    @pytest.mark.parametrize("make", FILL_SPECS.values(), ids=FILL_SPECS.keys())
+    def test_outer_entries_are_the_full_fills(self, make, summed_sizes):
+        spec = make()
+        outer = outer_of(cf.build_relay_joint(spec))
+        full = family_of(cf.build_relay_joint(spec))
+        assert summed_sizes == [] and len(outer) == 2 ** len(spec.relays)
+        assert all(outer[key] == full[key] for key in outer)
+
+    @pytest.mark.parametrize("make", FILL_SPECS.values(), ids=FILL_SPECS.keys())
+    def test_outer_then_full_is_full_first(self, make):
+        spec = make()
+        joint = cf.build_joint(spec)
+        outer = outer_of(joint)
+        both = family_of(joint)
+        assert both == family_of(cf.build_joint(spec))
+        assert all(both[key] is outer[key] for key in outer)  # the stored floats stay
+
+    @pytest.mark.parametrize("slab", [1, 7, 60])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_split_outer_fill_is_the_unsplit_one(self, monkeypatch, slab, seed):
+        spec = random_spec(np.random.default_rng(seed), n_relays=3)
+        whole = outer_of(cf.build_relay_joint(spec))
+        monkeypatch.setattr(cf.probability, "SUM_SLAB_CELLS", slab)
+        assert outer_of(cf.build_relay_joint(spec)) == whole
+
+    def test_relay_table_without_a_compression(self, summed_sizes):
+        # relay 3 has no Yh: its states are X3 kept or not, in an outer fill too
+        spec = cf.demo_spec(3, 7)
+        full, oracle = cf.build_joint(spec), FactorOracle(spec)
+        variables = [v for v in full.variables if v != full.yhat(3)]
+        made = [cf.JointPmf(variables, full.marginal(variables)) for _ in range(2)]
+        summed_sizes.clear()
+        outer = outer_of(made[0])
+        assert summed_sizes == [] and len(outer) == 2 ** 2 * 2
+        pairs = [(a | c, a) for a in powerset((2, 4)) for c in (frozenset(), frozenset({3}))]
+        got = {(a, b): made[0].relay_entropy(a, b) for a, b in pairs}
+        assert len(made[0]._memo) == len(outer)  # each was an outer entry
+        assert max(abs(h - oracle.relay_entropy(a, b)) for (a, b), h in got.items()) <= 1e-12
+        family = family_of(made[1])
+        assert all(family[key] == h for key, h in outer.items())
+
+    def test_six_relay_outer_check_fills_the_outer_entries_only(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        fills = []
+        fill = cf.JointPmf._fill
+        monkeypatch.setattr(cf.JointPmf, "_fill",
+                            lambda self, outer=False: fills.append(outer) or fill(self, outer))
+        cf.demo_spec(6, 7).save(tmp_path / "c6.json")
+        rates = {str(i): 0.0007 if i == 2 else 1e-5 for i in range(2, 8)}
+        (tmp_path / "r6.json").write_text(json.dumps({"rates": rates}))
+        tail = ["--channel", str(tmp_path / "c6.json"), "--rates", str(tmp_path / "r6.json")]
+        runs = {"check": ["check", *tail], "check --layering": ["check", *tail, "--layering",
+                                                                "7|6|5|4|3|2"],
+                "solve": ["solve", *tail]}
+        got = {}
+        for name, argv in runs.items():
+            fills.clear()
+            cf.cli.main(argv)
+            got[name] = list(fills)
+        capsys.readouterr()
+        # outer caps read the 64 outer entries; staged caps need the 729
+        assert got == {"check": [True], "check --layering": [False], "solve": [True, False]}
 
 
 class TestWalk:
@@ -1368,6 +1447,16 @@ class TestPairEntropySum:
     def test_empty(self, demo2):
         assert demo2.pair_entropy_sum(frozenset()) == 0.0
 
+    def test_adds_in_ascending_node_order(self):
+        # not in frozenset order, where node 8 comes first in small sets, nor with the
+        # compensated `sum` of Python 3.12: a plain loop from 0, relays ascending
+        joint = cf.build_relay_joint(cf.demo_spec(7, 1))
+        for s in cf.region.subsets_by_mask(joint.relay_set):
+            want = 0
+            for i in sorted(s):
+                want += joint.entropy({joint.x(i), joint.yhat(i)})
+            assert joint.pair_entropy_sum(s) == want
+
     def test_uniform_input_constant_compression(self):
         joint = cf.build_joint(unit_spec())  # X2 uniform, Yh2 pinned
         assert joint.pair_entropy_sum({2}) == pytest.approx(1.0, abs=1e-12)
@@ -1623,3 +1712,88 @@ class TestJson:
         path.write_text("[" * 200_000)
         with pytest.raises(cf.InvalidSpecError, match="nested"):
             cf.load_spec(path)
+
+
+def chained(depth: int, leaf):
+    """`leaf` inside `depth` one-item lists."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+# JSON values that are no number, or not a float, beside plain floats
+ODD_LEAVES = [True, False, None, "0.5", {"a": 1}, [], [0.5], 1, 0, -0.0, 2**53 + 1, 10**400,
+              -(10**400), 10**308, float("nan"), float("inf"), 1e-320]
+
+
+def adversarial_table(rng):
+    """A rectangular nested list of 0 to 4 axes of 0 to 3 floats each, with up to
+    three edits at random places: a cell swapped for an odd leaf, or a list cut
+    short, grown by one item or swapped for an odd leaf."""
+    def odd_leaf():
+        return copy.deepcopy(ODD_LEAVES[rng.integers(len(ODD_LEAVES))])  # never a shared list
+
+    shape = rng.integers(0, 4, size=rng.integers(0, 5)).tolist()
+    table = np.round(rng.random(shape), 3).tolist() if shape else 0.5
+    for _ in range(rng.integers(0, 4)):
+        if not isinstance(table, list):
+            table = odd_leaf()
+            continue
+        node = table
+        while node and rng.random() < 0.7:
+            child = node[rng.integers(len(node))]
+            if not isinstance(child, list):
+                break
+            node = child
+        edit = rng.integers(4)
+        if edit == 0 and node:
+            node[rng.integers(len(node))] = odd_leaf()
+        elif edit == 1 and node:
+            node.pop()
+        elif edit == 2:
+            node.append(node[-1] if node and rng.random() < 0.5 else 0.25)
+        elif node:
+            node[rng.integers(len(node))] = [0.5] * int(rng.integers(0, 3))
+    return table
+
+
+class TestSpecTable:
+    """A spec table is read one level at a time: the array and the error of the
+    object-array reading (`tests/_oracle.py`), without the object array."""
+
+    @staticmethod
+    def assert_reads_as_reference(raw):
+        want = spec_table(raw, "t")
+        if isinstance(want, str):
+            with pytest.raises(cf.InvalidSpecError) as caught:
+                cf.probability._as_table(raw, "t")
+            assert str(caught.value) == want
+        else:
+            got = cf.probability._as_table(raw, "t")
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adversarial_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            self.assert_reads_as_reference(adversarial_table(rng))
+
+    @pytest.mark.parametrize("raw", [
+        *ODD_LEAVES, [], [[]], [[], []], [[[]], [[]]], [[], [1.0]], [[1.0], []], [1.0, []],
+        [[1.0, 2.0], [3.0]], [[1.0, [2.0]], [3.0, 4.0]], [[[1.0, 2.0]], [3.0]], [[1.0, 2.0], 3.0],
+        [[0.5, True], [0.5, None]], [[0.5, "x"], [[0.5], 0.5]], [10**400, [0.5]],
+        chained(63, 0.5), chained(64, 0.5), chained(65, 0.5), chained(70, 0.5),
+        chained(64, [0.5, 0.5]), chained(64, []), chained(62, [[0.5], [0.5, 0.5]]),
+        chained(70, None),
+    ], ids=lambda raw: repr(raw)[:40])
+    def test_edge_tables(self, raw):
+        self.assert_reads_as_reference(raw)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_demo_tables(self, n):
+        obj = cf.demo_spec(n, 7).to_json_obj()
+        tables = [obj["source"]["p_x1"], obj["channel"]]
+        tables += [r[key] for r in obj["relays"] for key in ("p_x", "p_yhat_given_x_y")]
+        for raw in tables:
+            self.assert_reads_as_reference(raw)

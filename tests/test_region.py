@@ -5,6 +5,7 @@ import json
 import re
 import sys
 from decimal import Decimal
+from functools import partial
 
 import numpy as np
 import pytest
@@ -388,12 +389,26 @@ class TestOuterCapsOnce:
         assert cf.region.region_caps(root.relay_joint(), None) is caps
         assert cf.outer_h_rep(joints[1]) == tuple(cf.HalfSpace(s, rhs) for s, rhs in caps)
 
+    @pytest.mark.parametrize("make", [
+        *(partial(cf.demo_spec, n, seed) for n in range(1, 8) for seed in (1, 7, 301)),
+        *(partial(lambda n: random_spec(np.random.default_rng(n), n, max_size=3), n)
+          for n in range(1, 5)),
+    ])
+    def test_vector_caps_are_the_formula(self, make):
+        # pair sum, relays ascending, minus E[R] - E[R - S]: the caps of one subset at a time
+        joint = cf.build_relay_joint(make())
+        full = joint.relay_set
+        want = tuple((s, joint.pair_entropy_sum(s) - cf.block_cond_entropy(joint, s, full - s))
+                     for s in subsets_by_mask(full))
+        assert cf.region.region_caps(cf.build_relay_joint(make()), None) == want
+
     @pytest.mark.parametrize("n, seed", [(2, 7), (4, 1), (5, 301)])
     def test_every_reader_agrees_bit_for_bit(self, n, seed, tmp_path, monkeypatch, capsys):
         spec = cf.demo_spec(n, seed)
         subsets = list(subsets_by_mask(spec.relay_nodes))
-        alone = cf.build_relay_joint(spec)  # each subset's own cap: the memo holds no tuple
-        want = [cf.boundary_rhs(alone, s) for s in subsets]
+        alone = cf.build_relay_joint(spec)  # each subset's own cap by the formula: no tuple
+        want = [alone.pair_entropy_sum(s) - cf.block_cond_entropy(alone, s, alone.relay_set - s)
+                for s in subsets]
         assert not alone._outer_caps
 
         def readers(joint):
@@ -703,6 +718,16 @@ class TestWindowIdentities:
         assert gaps[0] == pytest.approx(
             cf.boundary_rhs(independent_joint, {2}), abs=1e-9
         )
+
+    def test_floor_sum_adds_in_ascending_node_order(self):
+        # a plain loop from 0, relays ascending, whatever order the subset iterates in
+        rng = np.random.default_rng(3)
+        floors = {i: float(rng.random() * 10.0 ** rng.integers(-6, 1)) for i in range(2, 9)}
+        for s in subsets_by_mask(floors):
+            want = 0
+            for i in sorted(s):
+                want += floors[i]
+            assert cf.floor_sum(floors, s) == want
 
     def test_first_form_is_floor_window(self, demo3):
         floors = cf.compression_floor(demo3)

@@ -206,6 +206,36 @@ class TestBruteForce:
         with pytest.raises(cf.TooManyRelaysError, match="enumeration cap of 6"):
             cf.brute_force_layering(seven_relays, zero_rates(seven_relays))
 
+    def test_relay_cap_before_epsilon(self, seven_relays, no_entropy):
+        with pytest.raises(cf.TooManyRelaysError):
+            cf.brute_force_layering(seven_relays, zero_rates(seven_relays), epsilon=-1.0)
+
+    def test_rates_before_relay_cap(self, seven_relays, no_entropy):
+        with pytest.raises(cf.InvalidRatesError):
+            cf.brute_force_layering(seven_relays, cf.RateVector({2: 0.0}))
+
+    def test_inputs_checked_once(self, monkeypatch):
+        # 541 layerings at 5 relays: each report reads the inputs checked first
+        # (542 rate checks before, one per layering and one up front)
+        joint = cf.build_relay_joint(cf.demo_spec(5, 7))
+        rates = zero_rates(joint)
+        want = [lay for lay in cf.enumerate_layerings(joint.relay_set)
+                if cf.check_layered(joint, lay, rates).is_member]
+        checked = {"rates": 0, "epsilon": 0}
+        check_for, as_epsilon = cf.RateVector.check_for, cf.region._as_epsilon
+
+        def checking(name, check):
+            def wrapped(*args):
+                checked[name] += 1
+                return check(*args)
+            return wrapped
+
+        monkeypatch.setattr(cf.RateVector, "check_for", checking("rates", check_for))
+        monkeypatch.setattr(cf.region, "_as_epsilon", checking("epsilon", as_epsilon))
+        monkeypatch.setattr(cf.solver, "_as_epsilon", cf.region._as_epsilon)
+        assert cf.brute_force_layering(joint, rates) == want and len(want) == 541
+        assert checked == {"rates": 1, "epsilon": 1}
+
 
 class TestVerifyCore:
     def test_empty_core_vacuous(self, demo2):
